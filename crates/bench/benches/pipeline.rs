@@ -1,7 +1,7 @@
 //! Micro-benchmarks of the functional pipeline: per-packet processing cost
 //! for the baseline RMT pipeline and for the Menshen pipeline with 1 and 8
-//! loaded tenants, across packet sizes — on both the single-packet and the
-//! batched data path.
+//! loaded tenants, across packet sizes — in bursts of one (`process`) and of
+//! `BURST_SIZE` (`process_batch_into`).
 //!
 //! These measure the *simulator's* throughput (useful for keeping the
 //! simulator fast and for the ablation of isolation-primitive cost in

@@ -341,16 +341,10 @@ fn main() {
             ])
         })
         .collect();
-    let ring_impl = if cfg!(feature = "fast-ring") {
-        "fast_ring_unsafe_slots"
-    } else {
-        "safe_ring_mutex_slots"
-    };
     let dispatch_doc = Json::obj([
         ("tenants", Json::from(TENANTS)),
         ("workload_packets", Json::from(packets.len())),
         ("steering", Json::from("five_tuple_rss")),
-        ("ring_impl", Json::from(ring_impl)),
         (
             "host_parallelism",
             Json::from(dispatch_report.host_parallelism),

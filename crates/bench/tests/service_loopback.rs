@@ -1,8 +1,8 @@
 //! Two-process loopback smoke: `menshen-serve` and `menshen-loadgen` as
 //! real OS processes over 127.0.0.1 — the CI job behind the
-//! "running as a network service" quickstart. Small enough to run in every
-//! configuration (`default` and `fast-ring`); the committed
-//! `service_loopback` baseline numbers come from `benches/service.rs`.
+//! "running as a network service" quickstart. Small enough to run on every
+//! push; the committed `service_loopback` baseline numbers come from
+//! `benches/service.rs`.
 
 use menshen_bench::service_proc::{run_loadgen_proc, ServeProc, ServeSpec};
 

@@ -178,10 +178,6 @@ pub struct ModuleConfig {
     pub deparser: ParserEntry,
     /// Per-stage configuration, indexed by stage.
     pub stages: Vec<StageModuleConfig>,
-    /// Operator pin hint: force tenant-affine pinning even when the module
-    /// would qualify for state-compute replication (e.g. to keep digest
-    /// overhead off the wire for a tenant known to fit one shard).
-    pub pinned: bool,
 }
 
 impl ModuleConfig {
@@ -193,14 +189,7 @@ impl ModuleConfig {
             parser: ParserEntry::default(),
             deparser: ParserEntry::default(),
             stages: vec![StageModuleConfig::default(); num_stages],
-            pinned: false,
         }
-    }
-
-    /// Sets the pin hint (builder style). See [`ModuleConfig::pinned`].
-    pub fn with_pinned(mut self, pinned: bool) -> Self {
-        self.pinned = pinned;
-        self
     }
 
     /// Total number of match-action rules across all stages, all match kinds.
@@ -290,14 +279,13 @@ impl ModuleConfig {
     /// * non-mergeable state is *replicated*: every shard keeps a full copy
     ///   and the dispatcher broadcasts per-packet [`DigestSpec`] digests so
     ///   all copies advance identically (State-Compute Replication);
-    /// * pinning — the old single-shard regime — remains for modules that
-    ///   opt out via [`ModuleConfig::pinned`] or whose parsers are too wide
-    ///   to digest.
+    /// * pinning — the old single-shard regime — remains as the fallback for
+    ///   modules whose parsers are too wide to digest.
     pub fn execution_mode(&self) -> ExecutionMode {
         match self.state_mergeability() {
             StateMergeability::Stateless | StateMergeability::Mergeable => ExecutionMode::Mergeable,
             StateMergeability::NonMergeable { .. } => {
-                if self.pinned || self.digest_spec().is_none() {
+                if self.digest_spec().is_none() {
                     ExecutionMode::Pinned
                 } else {
                     ExecutionMode::Replicated
@@ -448,13 +436,7 @@ mod tests {
         });
         assert_eq!(config.execution_mode(), ExecutionMode::Replicated);
 
-        // The operator pin hint forces the old single-shard regime.
-        assert_eq!(
-            config.clone().with_pinned(true).execution_mode(),
-            ExecutionMode::Pinned
-        );
-
-        // A parser too wide to digest also falls back to pinning.
+        // A parser too wide to digest falls back to pinning.
         config.parser = ParserEntry::new(
             (0..9)
                 .map(|i| ParseAction::new(14 + 2 * i, C::h2(i % 8)).unwrap())

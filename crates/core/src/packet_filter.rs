@@ -16,6 +16,11 @@ use menshen_packet::Packet;
 /// Number of parallel packet buffers/deparsers the filter round-robins over.
 pub const NUM_PACKET_BUFFERS: u8 = 4;
 
+/// Module slots the "being reconfigured" bitmap can mark: one per bit of the
+/// 32-bit register. The pipeline never binds a module to a slot past this,
+/// because the filter could not stop that module's packets mid-rewrite.
+pub(crate) const RECONFIG_BITMAP_SLOTS: usize = u32::BITS as usize;
+
 /// What the filter decided to do with a packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FilterDecision {
@@ -60,7 +65,7 @@ pub struct PacketFilter {
     /// Map from bitmap bit to module ID, so data packets can be matched
     /// against the bitmap (the prototype stores this association in software;
     /// keeping it here keeps the filter self-contained).
-    slot_modules: [Option<u16>; 32],
+    slot_modules: [Option<u16>; RECONFIG_BITMAP_SLOTS],
     /// Counts reconfiguration packets that passed through the daisy chain.
     reconfig_counter: u32,
     next_buffer: u8,
@@ -75,14 +80,14 @@ impl PacketFilter {
 
     /// Associates a bitmap bit (module slot) with a module ID.
     pub fn bind_slot(&mut self, slot: usize, module_id: u16) {
-        if slot < 32 {
+        if slot < RECONFIG_BITMAP_SLOTS {
             self.slot_modules[slot] = Some(module_id);
         }
     }
 
     /// Removes the association for a slot.
     pub fn unbind_slot(&mut self, slot: usize) {
-        if slot < 32 {
+        if slot < RECONFIG_BITMAP_SLOTS {
             self.slot_modules[slot] = None;
             self.bitmap &= !(1 << slot);
         }
@@ -100,14 +105,14 @@ impl PacketFilter {
 
     /// Marks one slot as being reconfigured.
     pub fn mark_reconfiguring(&mut self, slot: usize) {
-        if slot < 32 {
+        if slot < RECONFIG_BITMAP_SLOTS {
             self.bitmap |= 1 << slot;
         }
     }
 
     /// Clears one slot's reconfiguration mark.
     pub fn clear_reconfiguring(&mut self, slot: usize) {
-        if slot < 32 {
+        if slot < RECONFIG_BITMAP_SLOTS {
             self.bitmap &= !(1 << slot);
         }
     }
@@ -141,7 +146,7 @@ impl PacketFilter {
 
     /// Returns true if the module occupying any marked slot matches `module_id`.
     fn module_is_reconfiguring(&self, module_id: u16) -> bool {
-        (0..32).any(|slot| {
+        (0..RECONFIG_BITMAP_SLOTS).any(|slot| {
             self.bitmap & (1 << slot) != 0 && self.slot_modules[slot] == Some(module_id)
         })
     }

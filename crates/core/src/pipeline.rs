@@ -16,31 +16,31 @@
 //!   write configuration — reconfiguration packets arriving on the data path
 //!   are dropped (§3.1 "secure reconfiguration").
 //!
-//! # Single-packet vs batched processing
+//! # The data path
 //!
-//! Two data-path entry points exist:
+//! There is one packet routine. [`MenshenPipeline::process_batch_into`]
+//! pushes a DPDK-style burst (see [`BURST_SIZE`]) through it, and
+//! [`MenshenPipeline::process`] is a burst of one through the same routine,
+//! so verdicts, counters and stateful memory cannot depend on how a packet
+//! stream is chopped into bursts. Per-packet overheads are amortised across
+//! the burst: per-module parser/deparser/key-extractor/key-mask/segment
+//! configuration is resolved once per `(module, burst)` into scratch buffers
+//! owned by the pipeline, stages whose key mask selects no key bits resolve
+//! their CAM lookup once per burst instead of once per packet, one scratch
+//! PHV is reused for the whole burst, and per-module traffic counters are
+//! accumulated in scratch and flushed once at the end of the burst. The
+//! steady state allocates nothing beyond the returned verdicts.
 //!
-//! * [`MenshenPipeline::process`] pushes one packet at a time and re-reads
-//!   every per-module overlay entry for every packet. It is the reference
-//!   path: simple, obviously faithful to the hardware model, and what the
-//!   isolation tests exercise.
-//! * [`MenshenPipeline::process_batch`] pushes a DPDK-style burst
-//!   (see [`BURST_SIZE`]) and produces verdict-for-verdict identical results
-//!   while amortising the per-packet overheads across the burst: per-module
-//!   parser/deparser/key-extractor/key-mask/segment configuration is resolved
-//!   once per `(module, burst)` into scratch buffers owned by the pipeline,
-//!   stages whose key mask selects no key bits resolve their CAM lookup once
-//!   per burst instead of once per packet, one scratch PHV is reused for the
-//!   whole burst, and per-module traffic counters are accumulated in scratch
-//!   and flushed once at the end of the burst. The steady state allocates
-//!   nothing beyond the returned verdicts.
-//!
-//! Configuration cannot change in the middle of a burst (the batch holds
+//! Configuration cannot change in the middle of a burst (the burst holds
 //! `&mut self`), so the per-burst resolution is exact, and the CAM hash index
 //! (`menshen_rmt::ExactMatchTable`) keeps each remaining per-packet lookup
-//! O(1). One observable difference: the batch path resolves lookups through
-//! the index without bumping the CAM's lookup/hit statistics for the probes
-//! it amortises away.
+//! O(1). The data path resolves them with the statistics-free `peek`: the
+//! CAM's lookup/hit statistics are not bumped on the data path.
+//!
+//! The unamortised per-packet walk the burst routine was derived from — read
+//! every overlay entry for every packet, one `StageHardware::process` per
+//! stage — survives as `reference_process` in this module's tests, the
+//! oracle the burst routine is checked against.
 
 use crate::digest::{DigestSpec, StateDigest};
 use crate::error::CoreError;
@@ -49,7 +49,7 @@ use crate::module::{
     TableRule,
 };
 use crate::overlay::OverlayTable;
-use crate::packet_filter::{FilterDecision, PacketFilter};
+use crate::packet_filter::{FilterDecision, PacketFilter, RECONFIG_BITMAP_SLOTS};
 use crate::partition::{Allocation, RangeAllocator};
 use crate::profile::{HotPathProfiler, PacketSample, Phase, StageProfile};
 use crate::reconfig::{ReconfigCommand, ResourceKind, WritePayload};
@@ -69,7 +69,7 @@ use menshen_rmt::stage::{StageConfig, StageHardware};
 use menshen_rmt::ternary::{RangeRule, RangeTable};
 use std::collections::HashMap;
 
-/// DPDK-style default burst size for [`MenshenPipeline::process_batch`].
+/// DPDK-style default burst size for [`MenshenPipeline::process_batch_into`].
 ///
 /// Callers may pass bursts of any length; this constant is the batch size the
 /// testbed and benchmarks use when they chop a packet stream into bursts.
@@ -227,8 +227,6 @@ struct ModuleRuntime {
     cam_ranges: Vec<Allocation>,
     stateful_ranges: Vec<Allocation>,
     counters: ModuleCounters,
-    /// The load-time pin hint from [`ModuleConfig::pinned`].
-    pinned: bool,
 }
 
 /// Report returned by [`MenshenPipeline::load_module`].
@@ -261,18 +259,10 @@ enum ResolvedLookup {
     PerPacketRange,
 }
 
-/// How one stage resolved for one packet on the batch path: a CAM address
-/// (exact match, executes through the entry's indirection) or a direct
-/// action-table index (flat LPM/range tables).
-#[derive(Debug, Clone, Copy)]
-enum StageHit {
-    Cam(usize),
-    Action(usize),
-}
-
-/// Per-`(module slot, stage)` configuration resolved once per burst.
+/// Per-`(module slot, stage)` configuration resolved out of the overlay
+/// tables: once per burst on the packet path, once per digest on replay.
 #[derive(Debug, Clone, Copy, Default)]
-struct StageScratch {
+struct ResolvedStage {
     config: StageConfig,
     segment: Option<SegmentEntry>,
     lookup: ResolvedLookup,
@@ -288,7 +278,7 @@ struct SlotScratch {
     module_id: u16,
     parser: ParserEntry,
     deparser: ParserEntry,
-    stages: Vec<StageScratch>,
+    stages: Vec<ResolvedStage>,
     counters: ModuleCounters,
 }
 
@@ -354,6 +344,81 @@ impl MenshenStage {
             range: vec![None; params.overlay_depth],
         }
     }
+
+    /// Resolves module `slot`'s overlay configuration in this stage — key
+    /// extractor, key mask, segment entry — and, where the masked key cannot
+    /// depend on the packet, the CAM lookup itself.
+    #[inline(always)]
+    fn resolve(&self, slot: usize, module_id: u16) -> ResolvedStage {
+        let config = StageConfig {
+            key_extract: self.key_extract.read(slot).copied().unwrap_or_default(),
+            key_mask: self.key_mask.read(slot).copied().unwrap_or_default(),
+        };
+        // The masked key is constant when no key byte participates in the
+        // match and the predicate bit cannot fire (either masked out or not
+        // configured): every packet then produces the all-zero masked key,
+        // so the CAM lookup resolves once. Flat LPM/range tables always look
+        // up per packet — the trie walk / interval search *is* the fast path.
+        let lookup = if self.lpm[slot].is_some() {
+            ResolvedLookup::PerPacketLpm
+        } else if self.range[slot].is_some() {
+            ResolvedLookup::PerPacketRange
+        } else if config.key_mask.ignores_all_bytes()
+            && (!config.key_mask.predicate || config.key_extract.predicate.is_none())
+        {
+            match self.hw.cam.peek(&LookupKey::default(), module_id) {
+                Some(cam_index) => ResolvedLookup::ConstantHit(cam_index),
+                None => ResolvedLookup::ConstantMiss,
+            }
+        } else {
+            ResolvedLookup::PerPacket
+        };
+        ResolvedStage {
+            config,
+            segment: self.segment.read(slot),
+            lookup,
+        }
+    }
+
+    /// One step of the stage walk — the only one in the crate, shared by the
+    /// packet routine and digest replay: matches `phv` against the module's
+    /// table in this stage as `resolved` says and executes the action behind
+    /// a hit. CAM hits execute through `execute_hit` (which follows the
+    /// entry's action indirection); flat LPM/range tables resolve the action
+    /// index directly. A miss leaves the PHV untouched.
+    //
+    // `inline(always)` (here and on `resolve`): with two callers LLVM leaves
+    // both out of line, which cost `lone_exact` 4 % of its throughput and a
+    // burst of one 25 ns (`core.process_batch_b1_ns`).
+    #[inline(always)]
+    fn step(&mut self, slot: usize, module_id: u16, resolved: &ResolvedStage, phv: &mut Phv) {
+        let translator = SegmentTranslator::new(resolved.segment);
+        let key =
+            |phv: &Phv| extract_key(phv, &resolved.config.key_extract, &resolved.config.key_mask);
+        match resolved.lookup {
+            ResolvedLookup::ConstantMiss => {}
+            ResolvedLookup::ConstantHit(cam_index) => {
+                self.hw.execute_hit(cam_index, phv, &translator);
+            }
+            ResolvedLookup::PerPacket => {
+                if let Some(cam_index) = self.hw.cam.peek(&key(phv), module_id) {
+                    self.hw.execute_hit(cam_index, phv, &translator);
+                }
+            }
+            ResolvedLookup::PerPacketLpm => {
+                let table = self.lpm[slot].as_ref();
+                if let Some(action) = table.and_then(|t| t.lookup_key(&key(phv))) {
+                    self.hw.execute_action(action as usize, phv, &translator);
+                }
+            }
+            ResolvedLookup::PerPacketRange => {
+                let table = self.range[slot].as_ref();
+                if let Some(action) = table.and_then(|t| t.lookup_key(&key(phv))) {
+                    self.hw.execute_action(action as usize, phv, &translator);
+                }
+            }
+        }
+    }
 }
 
 /// The Menshen pipeline.
@@ -374,7 +439,16 @@ pub struct MenshenPipeline {
 
 impl MenshenPipeline {
     /// Creates an empty pipeline with the given parameters.
+    ///
+    /// `overlay_depth` is capped at the 32 module slots the packet filter's
+    /// being-reconfigured bitmap can mark (a module in a slot past it could
+    /// not be stopped while it is rewritten), and every per-module table is
+    /// sized by the capped depth; [`params`](Self::params) reports it.
     pub fn new(params: PipelineParams) -> Self {
+        let params = PipelineParams {
+            overlay_depth: params.overlay_depth.min(RECONFIG_BITMAP_SLOTS),
+            ..params
+        };
         MenshenPipeline {
             filter: PacketFilter::new(),
             parser_table: OverlayTable::new("parser table", params.overlay_depth),
@@ -418,19 +492,6 @@ impl MenshenPipeline {
     /// Read access to the packet filter (its software registers).
     pub fn filter(&self) -> &PacketFilter {
         &self.filter
-    }
-
-    /// Switches every stage's CAM between the O(1) hash index (default) and
-    /// the per-slot scan that models the hardware CAM's parallel compare —
-    /// the cost the pre-index software data path paid on every lookup.
-    /// Results are identical either way; benchmarks use scan mode as the
-    /// measured "before" baseline. Only the single-packet path is affected:
-    /// [`process_batch`](Self::process_batch) always resolves through the
-    /// index.
-    pub fn set_cam_scan_mode(&mut self, scan: bool) {
-        for stage in &mut self.stages {
-            stage.hw.cam.set_scan_mode(scan);
-        }
     }
 
     /// The module IDs currently loaded.
@@ -574,16 +635,15 @@ impl MenshenPipeline {
 
     /// Chooses how a *loaded* module executes across shard replicas — the
     /// installed-form counterpart of [`ModuleConfig::execution_mode`], driven
-    /// by [`module_state_mergeability`](Self::module_state_mergeability), the
-    /// load-time pin hint and the installed parser's digestibility. Returns
-    /// `None` if the module is not loaded.
+    /// by [`module_state_mergeability`](Self::module_state_mergeability) and
+    /// the installed parser's digestibility. Returns `None` if the module is
+    /// not loaded.
     pub fn module_execution_mode(&self, module: ModuleId) -> Option<ExecutionMode> {
         let mergeability = self.module_state_mergeability(module)?;
-        let runtime = self.modules.get(&module.value())?;
         Some(match mergeability {
             StateMergeability::Stateless | StateMergeability::Mergeable => ExecutionMode::Mergeable,
             StateMergeability::NonMergeable { .. } => {
-                if runtime.pinned || self.module_digest_spec(module).is_none() {
+                if self.module_digest_spec(module).is_none() {
                     ExecutionMode::Pinned
                 } else {
                     ExecutionMode::Replicated
@@ -733,7 +793,7 @@ impl MenshenPipeline {
                 .iter()
                 .position(|s| s.is_none())
                 .ok_or(CoreError::NoFreeModuleSlot {
-                    capacity: self.params.overlay_depth,
+                    capacity: self.slots.len(),
                 })?;
 
         // Space partitioning: reserve CAM and stateful ranges in every stage
@@ -816,7 +876,6 @@ impl MenshenPipeline {
                 cam_ranges,
                 stateful_ranges,
                 counters: ModuleCounters::default(),
-                pinned: config.pinned,
             },
         );
         Ok(LoadReport {
@@ -1195,176 +1254,43 @@ impl MenshenPipeline {
     // Data path
     // -----------------------------------------------------------------------
 
-    /// Pushes one packet through the data path and returns the verdict.
+    /// Pushes one packet through the data path and returns the verdict: a
+    /// burst of one through [`process_batch_into`](Self::process_batch_into).
     pub fn process(&mut self, packet: Packet) -> Verdict {
-        self.cycle += 1;
-        let decision = self.filter.classify(&packet);
-        let (module_id, buffer_tag) = match decision {
-            FilterDecision::Reconfiguration => {
-                // Data-path reconfiguration attempts are untrusted and dropped.
-                return Verdict::Dropped {
-                    reason: DropReason::UntrustedReconfiguration,
-                    module_id: None,
-                };
-            }
-            FilterDecision::DropNoVlan => {
-                return Verdict::Dropped {
-                    reason: DropReason::NoVlan,
-                    module_id: None,
-                }
-            }
-            FilterDecision::DropBeingReconfigured { module_id } => {
-                if let Some(runtime) = self.modules.get_mut(&module_id) {
-                    runtime.counters.packets_dropped += 1;
-                }
-                return Verdict::Dropped {
-                    reason: DropReason::BeingReconfigured,
-                    module_id: Some(module_id),
-                };
-            }
-            FilterDecision::Data {
-                module_id,
-                buffer_tag,
-            } => (module_id, buffer_tag),
-        };
-
-        let slot = match self.modules.get(&module_id).map(|m| m.slot) {
-            Some(slot) => slot,
-            None => {
-                return Verdict::Dropped {
-                    reason: DropReason::UnknownModule,
-                    module_id: Some(module_id),
-                }
-            }
-        };
-
-        let packet_len = packet.len();
-        if let Some(runtime) = self.modules.get_mut(&module_id) {
-            runtime.counters.packets_in += 1;
-            runtime.counters.bytes_in += packet_len as u64;
-        }
-
-        // Parse with the module's own parser entry.
-        let parser_entry = self.parser_table.read(slot).cloned().unwrap_or_default();
-        let mut phv = match parser::parse(&packet, &parser_entry, module_id) {
-            Ok(phv) => phv,
-            Err(_) => {
-                if let Some(runtime) = self.modules.get_mut(&module_id) {
-                    runtime.counters.packets_dropped += 1;
-                }
-                return Verdict::Dropped {
-                    reason: DropReason::ModuleDiscard,
-                    module_id: Some(module_id),
-                };
-            }
-        };
-        phv.metadata.buffer_tag = 1 << buffer_tag;
-
-        // System-level module, first half.
-        self.system.ingress(&mut phv, packet_len, self.cycle);
-
-        // Tenant stages with per-module overlay configuration. A stage where
-        // the module has a flat table (LPM/range) resolves the action index
-        // through that table and executes it directly; otherwise the exact
-        // CAM path runs as before.
-        for stage in &mut self.stages {
-            let config = StageConfig {
-                key_extract: stage.key_extract.read(slot).copied().unwrap_or_default(),
-                key_mask: stage.key_mask.read(slot).copied().unwrap_or_default(),
-            };
-            let translator = SegmentTranslator::new(stage.segment.read(slot));
-            let MenshenStage { hw, lpm, range, .. } = stage;
-            if let Some(table) = lpm.get(slot).and_then(|t| t.as_ref()) {
-                let key = extract_key(&phv, &config.key_extract, &config.key_mask);
-                if let Some(action) = table.lookup_key(&key) {
-                    hw.execute_action(action as usize, &mut phv, &translator);
-                }
-            } else if let Some(table) = range.get(slot).and_then(|t| t.as_ref()) {
-                let key = extract_key(&phv, &config.key_extract, &config.key_mask);
-                if let Some(action) = table.lookup_key(&key) {
-                    hw.execute_action(action as usize, &mut phv, &translator);
-                }
-            } else {
-                hw.process(&mut phv, &config, &translator);
-            }
-        }
-
-        if phv.metadata.discard {
-            if let Some(runtime) = self.modules.get_mut(&module_id) {
-                runtime.counters.packets_dropped += 1;
-            }
-            return Verdict::Dropped {
-                reason: DropReason::ModuleDiscard,
-                module_id: Some(module_id),
-            };
-        }
-
-        // Deparse with the module's deparser entry.
-        let mut packet = packet;
-        let deparser_entry = self.deparser_table.read(slot).cloned().unwrap_or_default();
-        if deparser::deparse(&mut packet, &phv, &deparser_entry).is_err() {
-            if let Some(runtime) = self.modules.get_mut(&module_id) {
-                runtime.counters.packets_dropped += 1;
-            }
-            return Verdict::Dropped {
-                reason: DropReason::ModuleDiscard,
-                module_id: Some(module_id),
-            };
-        }
-
-        // System-level module, second half: routing / multicast.
-        let dst_ip = packet.ipv4_dst().unwrap_or(Ipv4Address::new(0, 0, 0, 0));
-        let ports = match self.system.egress(module_id, dst_ip, &phv) {
-            ForwardingDecision::Unicast(port) => vec![port],
-            ForwardingDecision::Multicast(ports) => ports,
-        };
-
-        if let Some(runtime) = self.modules.get_mut(&module_id) {
-            runtime.counters.packets_out += 1;
-            runtime.counters.bytes_out += packet.len() as u64;
-        }
-
-        Verdict::Forwarded {
-            packet,
-            ports,
-            phv,
-            module_id,
-        }
+        let mut out = Vec::with_capacity(1);
+        self.process_batch_into(std::slice::from_ref(&packet), &mut out);
+        out.pop().expect("a burst of one yields one verdict")
     }
 
     /// Pushes a DPDK-style burst of packets through the data path, returning
     /// one verdict per packet in order.
     ///
-    /// Verdict-for-verdict equivalent to calling [`process`](Self::process)
-    /// on each packet, but the per-packet overheads are amortised across the
-    /// burst (see the module docs): per-module overlay configuration and
-    /// trivially-masked CAM lookups resolve once per `(module, burst)`, one
-    /// scratch PHV is reused throughout, and per-module counters flush once
-    /// at the end.
-    ///
-    /// When the `profiling` cargo feature is on, one packet in N (see
-    /// [`set_profile_interval`](Self::set_profile_interval)) is timed per
-    /// stage into [`stage_profile`](Self::stage_profile); without the
-    /// feature the hooks compile to nothing.
-    ///
     /// This is a convenience wrapper over
     /// [`process_batch_into`](Self::process_batch_into); hot paths that
     /// process many bursts (the testbed sweeps, the benches, the sharded
     /// runtime's workers) should call that directly with a reused verdict
-    /// buffer and a borrowed burst, which also skips this wrapper's
-    /// forwarded-packet clones.
+    /// buffer.
     pub fn process_batch(&mut self, packets: Vec<Packet>) -> Vec<Verdict> {
         let mut verdicts = Vec::with_capacity(packets.len());
         self.process_batch_into(&packets, &mut verdicts);
         verdicts
     }
 
-    /// Allocation-free variant of [`process_batch`](Self::process_batch):
-    /// processes `packets` as one burst and writes one verdict per packet, in
+    /// Processes `packets` as one burst and writes one verdict per packet, in
     /// order, into `out` (which is cleared first). Callers that process many
     /// bursts — the testbed sweeps and the sharded runtime's workers — reuse
     /// one verdict buffer across bursts so the steady state performs no heap
     /// allocation at all for verdict storage.
+    ///
+    /// The per-packet overheads are amortised across the burst (see the
+    /// module docs): per-module overlay configuration and trivially-masked
+    /// CAM lookups resolve once per `(module, burst)`, one scratch PHV is
+    /// reused throughout, and per-module counters flush once at the end.
+    ///
+    /// When the `profiling` cargo feature is on, one packet in N (see
+    /// [`set_profile_interval`](Self::set_profile_interval)) is timed per
+    /// stage into [`stage_profile`](Self::stage_profile); without the
+    /// feature the hooks compile to nothing.
     pub fn process_batch_into(&mut self, packets: &[Packet], out: &mut Vec<Verdict>) {
         out.clear();
         out.reserve(packets.len());
@@ -1374,7 +1300,7 @@ impl MenshenPipeline {
             // 1-in-N sampled stage profiling; without the `profiling`
             // feature both calls are empty inlined no-ops.
             let mut sample = self.profiler.begin();
-            let verdict = self.process_batched_packet(packet, &mut scratch, &mut sample);
+            let verdict = self.process_one(packet, &mut scratch, &mut sample);
             self.profiler.commit(sample);
             out.push(verdict);
         }
@@ -1383,11 +1309,7 @@ impl MenshenPipeline {
             let slot_scratch = &mut scratch.slots[slot];
             let delta = std::mem::take(&mut slot_scratch.counters);
             if let Some(runtime) = self.modules.get_mut(&slot_scratch.module_id) {
-                runtime.counters.packets_in += delta.packets_in;
-                runtime.counters.packets_out += delta.packets_out;
-                runtime.counters.packets_dropped += delta.packets_dropped;
-                runtime.counters.bytes_in += delta.bytes_in;
-                runtime.counters.bytes_out += delta.bytes_out;
+                runtime.counters.add(&delta);
             }
         }
         scratch.touched.clear();
@@ -1395,7 +1317,7 @@ impl MenshenPipeline {
     }
 
     /// The accumulated hot-path stage profile: per-phase service-time
-    /// histograms from 1-in-N sampling on the batch path. Permanently
+    /// histograms from 1-in-N sampling on the data path. Permanently
     /// empty unless the crate is built with the `profiling` feature and
     /// sampling is enabled.
     pub fn stage_profile(&self) -> StageProfile {
@@ -1409,12 +1331,12 @@ impl MenshenPipeline {
         self.profiler.set_interval(interval);
     }
 
-    /// One packet of a burst. Mirrors [`process`](Self::process) exactly,
-    /// except that per-module configuration comes out of the burst scratch
-    /// and counters accumulate there. The packet is only cloned on the
-    /// forwarding path (the deparser rewrites it); dropped packets touch no
-    /// heap at all.
-    fn process_batched_packet(
+    /// One packet of a burst: filter, parse, system-module ingress, the
+    /// stage walk, deparse, system-module egress. Per-module configuration
+    /// comes out of the burst scratch and counters accumulate there. The
+    /// packet is only cloned on the forwarding path (the deparser rewrites
+    /// it); dropped packets touch no heap at all.
+    fn process_one(
         &mut self,
         packet: &Packet,
         scratch: &mut BatchScratch,
@@ -1424,6 +1346,7 @@ impl MenshenPipeline {
         let decision = self.filter.classify(packet);
         let (module_id, buffer_tag) = match decision {
             FilterDecision::Reconfiguration => {
+                // Data-path reconfiguration attempts are untrusted and dropped.
                 sample.mark(Phase::Filter);
                 return Verdict::Dropped {
                     reason: DropReason::UntrustedReconfiguration,
@@ -1491,60 +1414,9 @@ impl MenshenPipeline {
         // System-level module, first half.
         self.system.ingress(phv, packet_len, self.cycle);
 
-        // Tenant stages with the burst-resolved overlay configuration. CAM
-        // hits execute through `execute_hit` (which records the hit); flat
-        // LPM/range tables resolve the action index directly.
-        for (stage_idx, stage_scratch) in slot_scratch.stages.iter().enumerate() {
-            let hit = match stage_scratch.lookup {
-                ResolvedLookup::ConstantMiss => continue,
-                ResolvedLookup::ConstantHit(cam_index) => Some(StageHit::Cam(cam_index)),
-                ResolvedLookup::PerPacket => {
-                    let key = extract_key(
-                        phv,
-                        &stage_scratch.config.key_extract,
-                        &stage_scratch.config.key_mask,
-                    );
-                    self.stages[stage_idx]
-                        .hw
-                        .cam
-                        .peek(&key, module_id)
-                        .map(StageHit::Cam)
-                }
-                ResolvedLookup::PerPacketLpm => {
-                    let key = extract_key(
-                        phv,
-                        &stage_scratch.config.key_extract,
-                        &stage_scratch.config.key_mask,
-                    );
-                    self.stages[stage_idx].lpm[slot]
-                        .as_ref()
-                        .and_then(|table| table.lookup_key(&key))
-                        .map(|action| StageHit::Action(action as usize))
-                }
-                ResolvedLookup::PerPacketRange => {
-                    let key = extract_key(
-                        phv,
-                        &stage_scratch.config.key_extract,
-                        &stage_scratch.config.key_mask,
-                    );
-                    self.stages[stage_idx].range[slot]
-                        .as_ref()
-                        .and_then(|table| table.lookup_key(&key))
-                        .map(|action| StageHit::Action(action as usize))
-                }
-            };
-            if let Some(hit) = hit {
-                let translator = SegmentTranslator::new(stage_scratch.segment);
-                let hw = &mut self.stages[stage_idx].hw;
-                match hit {
-                    StageHit::Cam(cam_index) => {
-                        hw.execute_hit(cam_index, phv, &translator);
-                    }
-                    StageHit::Action(action) => {
-                        hw.execute_action(action, phv, &translator);
-                    }
-                }
-            }
+        // Tenant stages with the burst-resolved overlay configuration.
+        for (stage, resolved) in self.stages.iter_mut().zip(&slot_scratch.stages) {
+            stage.step(slot, module_id, resolved, phv);
         }
         sample.mark(Phase::Match);
 
@@ -1590,9 +1462,8 @@ impl MenshenPipeline {
 
     /// Resolves one module slot's overlay configuration into the burst
     /// scratch: parser/deparser entries (cloned once per burst, reusing the
-    /// scratch buffers' capacity), per-stage key extractor / key mask /
-    /// segment entries, and — for stages whose key mask selects no key bits,
-    /// so the masked key cannot depend on the packet — the CAM lookup itself.
+    /// scratch buffers' capacity) and every stage's
+    /// [`resolve`](MenshenStage::resolve)d configuration.
     fn resolve_slot(&self, slot: usize, module_id: u16, scratch: &mut BatchScratch) {
         let epoch = scratch.epoch;
         let slot_scratch = &mut scratch.slots[slot];
@@ -1608,37 +1479,11 @@ impl MenshenPipeline {
             None => slot_scratch.deparser = ParserEntry::default(),
         }
         slot_scratch.stages.clear();
-        for stage in &self.stages {
-            let config = StageConfig {
-                key_extract: stage.key_extract.read(slot).copied().unwrap_or_default(),
-                key_mask: stage.key_mask.read(slot).copied().unwrap_or_default(),
-            };
-            // The masked key is burst-constant when no key byte participates
-            // in the match and the predicate bit cannot fire (either masked
-            // out or not configured): every packet then produces the all-zero
-            // masked key, so the CAM lookup resolves once per burst. Flat
-            // LPM/range tables always look up per packet — the trie walk /
-            // interval search *is* the amortised fast path.
-            let lookup = if stage.lpm[slot].is_some() {
-                ResolvedLookup::PerPacketLpm
-            } else if stage.range[slot].is_some() {
-                ResolvedLookup::PerPacketRange
-            } else if config.key_mask.ignores_all_bytes()
-                && (!config.key_mask.predicate || config.key_extract.predicate.is_none())
-            {
-                match stage.hw.cam.peek(&LookupKey::default(), module_id) {
-                    Some(cam_index) => ResolvedLookup::ConstantHit(cam_index),
-                    None => ResolvedLookup::ConstantMiss,
-                }
-            } else {
-                ResolvedLookup::PerPacket
-            };
-            slot_scratch.stages.push(StageScratch {
-                config,
-                segment: stage.segment.read(slot),
-                lookup,
-            });
-        }
+        slot_scratch.stages.extend(
+            self.stages
+                .iter()
+                .map(|stage| stage.resolve(slot, module_id)),
+        );
         scratch.touched.push(slot);
     }
 
@@ -1663,7 +1508,7 @@ impl MenshenPipeline {
         let Some(slot) = self.modules.get(&module_id).map(|m| m.slot) else {
             return;
         };
-        if slot < 32 && self.filter.bitmap() & (1 << slot) != 0 {
+        if self.filter.bitmap() & (1 << slot) != 0 {
             return;
         }
         let mut phv = std::mem::take(&mut self.batch.phv);
@@ -1675,26 +1520,10 @@ impl MenshenPipeline {
             }
         }
         for stage in &mut self.stages {
-            let config = StageConfig {
-                key_extract: stage.key_extract.read(slot).copied().unwrap_or_default(),
-                key_mask: stage.key_mask.read(slot).copied().unwrap_or_default(),
-            };
-            let translator = SegmentTranslator::new(stage.segment.read(slot));
-            let key = extract_key(&phv, &config.key_extract, &config.key_mask);
-            let MenshenStage { hw, lpm, range, .. } = stage;
-            hw.stateful.set_replay(true);
-            if let Some(table) = lpm.get(slot).and_then(|t| t.as_ref()) {
-                if let Some(action) = table.lookup_key(&key) {
-                    hw.execute_action(action as usize, &mut phv, &translator);
-                }
-            } else if let Some(table) = range.get(slot).and_then(|t| t.as_ref()) {
-                if let Some(action) = table.lookup_key(&key) {
-                    hw.execute_action(action as usize, &mut phv, &translator);
-                }
-            } else if let Some(cam_index) = hw.cam.peek(&key, module_id) {
-                hw.execute_hit(cam_index, &mut phv, &translator);
-            }
-            hw.stateful.set_replay(false);
+            let resolved = stage.resolve(slot, module_id);
+            stage.hw.stateful.set_replay(true);
+            stage.step(slot, module_id, &resolved, &mut phv);
+            stage.hw.stateful.set_replay(false);
         }
         self.batch.phv = phv;
     }
@@ -1891,6 +1720,151 @@ mod tests {
     use menshen_rmt::phv::ContainerRef as C;
     use menshen_rmt::TABLE5;
 
+    impl MenshenPipeline {
+        /// The oracle the burst routine is checked against: the unamortised
+        /// per-packet walk, obviously faithful to the hardware model. It
+        /// re-reads every per-module overlay entry for every packet, parses
+        /// into a fresh PHV, runs one `StageHardware::process` (key extract →
+        /// CAM lookup → action) per exact-match stage and bumps the module's
+        /// counters directly — sharing no code with `process_one` beyond the
+        /// hardware model itself.
+        fn reference_process(&mut self, packet: Packet) -> Verdict {
+            self.cycle += 1;
+            let decision = self.filter.classify(&packet);
+            let (module_id, buffer_tag) = match decision {
+                FilterDecision::Reconfiguration => {
+                    // Data-path reconfiguration attempts are untrusted and dropped.
+                    return Verdict::Dropped {
+                        reason: DropReason::UntrustedReconfiguration,
+                        module_id: None,
+                    };
+                }
+                FilterDecision::DropNoVlan => {
+                    return Verdict::Dropped {
+                        reason: DropReason::NoVlan,
+                        module_id: None,
+                    }
+                }
+                FilterDecision::DropBeingReconfigured { module_id } => {
+                    if let Some(runtime) = self.modules.get_mut(&module_id) {
+                        runtime.counters.packets_dropped += 1;
+                    }
+                    return Verdict::Dropped {
+                        reason: DropReason::BeingReconfigured,
+                        module_id: Some(module_id),
+                    };
+                }
+                FilterDecision::Data {
+                    module_id,
+                    buffer_tag,
+                } => (module_id, buffer_tag),
+            };
+
+            let slot = match self.modules.get(&module_id).map(|m| m.slot) {
+                Some(slot) => slot,
+                None => {
+                    return Verdict::Dropped {
+                        reason: DropReason::UnknownModule,
+                        module_id: Some(module_id),
+                    }
+                }
+            };
+
+            let packet_len = packet.len();
+            if let Some(runtime) = self.modules.get_mut(&module_id) {
+                runtime.counters.packets_in += 1;
+                runtime.counters.bytes_in += packet_len as u64;
+            }
+
+            // Parse with the module's own parser entry.
+            let parser_entry = self.parser_table.read(slot).cloned().unwrap_or_default();
+            let mut phv = match parser::parse(&packet, &parser_entry, module_id) {
+                Ok(phv) => phv,
+                Err(_) => {
+                    if let Some(runtime) = self.modules.get_mut(&module_id) {
+                        runtime.counters.packets_dropped += 1;
+                    }
+                    return Verdict::Dropped {
+                        reason: DropReason::ModuleDiscard,
+                        module_id: Some(module_id),
+                    };
+                }
+            };
+            phv.metadata.buffer_tag = 1 << buffer_tag;
+
+            // System-level module, first half.
+            self.system.ingress(&mut phv, packet_len, self.cycle);
+
+            // Tenant stages with per-module overlay configuration. A stage
+            // where the module has a flat table (LPM/range) resolves the
+            // action index through that table and executes it directly;
+            // otherwise the exact CAM path runs.
+            for stage in &mut self.stages {
+                let config = StageConfig {
+                    key_extract: stage.key_extract.read(slot).copied().unwrap_or_default(),
+                    key_mask: stage.key_mask.read(slot).copied().unwrap_or_default(),
+                };
+                let translator = SegmentTranslator::new(stage.segment.read(slot));
+                let MenshenStage { hw, lpm, range, .. } = stage;
+                if let Some(table) = lpm.get(slot).and_then(|t| t.as_ref()) {
+                    let key = extract_key(&phv, &config.key_extract, &config.key_mask);
+                    if let Some(action) = table.lookup_key(&key) {
+                        hw.execute_action(action as usize, &mut phv, &translator);
+                    }
+                } else if let Some(table) = range.get(slot).and_then(|t| t.as_ref()) {
+                    let key = extract_key(&phv, &config.key_extract, &config.key_mask);
+                    if let Some(action) = table.lookup_key(&key) {
+                        hw.execute_action(action as usize, &mut phv, &translator);
+                    }
+                } else {
+                    hw.process(&mut phv, &config, &translator);
+                }
+            }
+
+            if phv.metadata.discard {
+                if let Some(runtime) = self.modules.get_mut(&module_id) {
+                    runtime.counters.packets_dropped += 1;
+                }
+                return Verdict::Dropped {
+                    reason: DropReason::ModuleDiscard,
+                    module_id: Some(module_id),
+                };
+            }
+
+            // Deparse with the module's deparser entry.
+            let mut packet = packet;
+            let deparser_entry = self.deparser_table.read(slot).cloned().unwrap_or_default();
+            if deparser::deparse(&mut packet, &phv, &deparser_entry).is_err() {
+                if let Some(runtime) = self.modules.get_mut(&module_id) {
+                    runtime.counters.packets_dropped += 1;
+                }
+                return Verdict::Dropped {
+                    reason: DropReason::ModuleDiscard,
+                    module_id: Some(module_id),
+                };
+            }
+
+            // System-level module, second half: routing / multicast.
+            let dst_ip = packet.ipv4_dst().unwrap_or(Ipv4Address::new(0, 0, 0, 0));
+            let ports = match self.system.egress(module_id, dst_ip, &phv) {
+                ForwardingDecision::Unicast(port) => vec![port],
+                ForwardingDecision::Multicast(ports) => ports,
+            };
+
+            if let Some(runtime) = self.modules.get_mut(&module_id) {
+                runtime.counters.packets_out += 1;
+                runtime.counters.bytes_out += packet.len() as u64;
+            }
+
+            Verdict::Forwarded {
+                packet,
+                ports,
+                phv,
+                module_id,
+            }
+        }
+    }
+
     /// A minimal module: match on dst IP (h4(1)), rewrite the UDP dst port to
     /// `rewrite_port` and count packets in stateful word 0.
     fn simple_module(module_id: u16, dst_ip: u32, rewrite_port: u16) -> ModuleConfig {
@@ -2085,7 +2059,14 @@ mod tests {
         let mut pipeline = MenshenPipeline::new(TABLE5);
         let additive = simple_module(1, 0x0a00_0002, 1111);
         let storing = storing_module(2, 0x0a00_0002, 2222);
-        let pinned = storing_module(3, 0x0a00_0002, 3333).with_pinned(true);
+        // A parser wider than a digest can carry cannot replicate; repeating
+        // its last extraction changes nothing else about the program.
+        let mut pinned = storing_module(3, 0x0a00_0002, 3333);
+        let last = *pinned.parser.actions.last().unwrap();
+        pinned
+            .parser
+            .actions
+            .resize(crate::DIGEST_MAX_FIELDS + 1, last);
         for config in [&additive, &storing, &pinned] {
             pipeline.load_module(config).unwrap();
             assert_eq!(
@@ -2102,7 +2083,7 @@ mod tests {
         assert_eq!(
             pipeline.module_execution_mode(ModuleId::new(3)),
             Some(ExecutionMode::Pinned),
-            "the pin hint survives loading"
+            "an undigestible parser falls back to pinning"
         );
         assert!(pipeline.module_execution_mode(ModuleId::new(99)).is_none());
         let spec = pipeline.module_digest_spec(ModuleId::new(2)).unwrap();
@@ -2288,6 +2269,42 @@ mod tests {
     }
 
     #[test]
+    fn no_module_lands_in_a_slot_the_filter_cannot_mark() {
+        // The being-reconfigured bitmap is 32 bits wide: a deeper overlay
+        // table must not yield slots whose modules keep forwarding while
+        // they are being rewritten.
+        let mut pipeline = MenshenPipeline::new(TABLE5.with_overlay_depth(40));
+        assert_eq!(pipeline.params().overlay_depth, 32);
+        let tiny = |id: u16| ModuleConfig::empty(ModuleId::new(id), "tiny", 5);
+        let refused = (1..=33)
+            .filter(|&id| pipeline.load_module(&tiny(id)).is_err())
+            .count();
+        for module in pipeline.loaded_modules() {
+            pipeline.begin_reconfiguration(module).unwrap();
+            assert!(
+                matches!(
+                    pipeline.process(packet_for(module.value(), 2)),
+                    Verdict::Dropped {
+                        reason: DropReason::BeingReconfigured,
+                        ..
+                    }
+                ),
+                "{module} forwarded while being reconfigured"
+            );
+            pipeline.end_reconfiguration(module).unwrap();
+            assert!(pipeline
+                .process(packet_for(module.value(), 2))
+                .is_forwarded());
+        }
+        assert_eq!(refused, 1, "the 33rd module has no markable slot");
+        assert_eq!(pipeline.free_slots(), 0);
+        assert!(matches!(
+            pipeline.load_module(&tiny(33)),
+            Err(CoreError::NoFreeModuleSlot { capacity: 32 })
+        ));
+    }
+
+    #[test]
     fn unload_frees_resources_and_clears_state() {
         let mut pipeline = MenshenPipeline::new(TABLE5);
         pipeline
@@ -2420,7 +2437,7 @@ mod tests {
 
         let sequential_verdicts: Vec<Verdict> = burst
             .iter()
-            .map(|p| sequential.process(p.clone()))
+            .map(|p| sequential.reference_process(p.clone()))
             .collect();
         let batched_verdicts = batched.process_batch(burst);
 
@@ -2593,9 +2610,33 @@ mod tests {
         assert_eq!(hits, 2);
     }
 
+    /// Runs `packets` through the oracle one at a time and through the burst
+    /// routine as one burst; verdicts and counters must agree.
+    fn assert_burst_matches_reference(config: &ModuleConfig, packets: Vec<Packet>) {
+        let mut sequential = MenshenPipeline::new(TABLE5);
+        sequential.load_module(config).unwrap();
+        let expected: Vec<Verdict> = packets
+            .iter()
+            .map(|p| sequential.reference_process(p.clone()))
+            .collect();
+
+        let mut batched = MenshenPipeline::new(TABLE5);
+        batched.load_module(config).unwrap();
+        let got = batched.process_batch(packets);
+
+        assert_eq!(expected.len(), got.len());
+        for (a, b) in expected.iter().zip(got.iter()) {
+            assert!(verdicts_equivalent(a, b), "{a:?} vs {b:?}");
+        }
+        assert_eq!(
+            sequential.module_counters(config.module_id),
+            batched.module_counters(config.module_id),
+        );
+    }
+
     #[test]
     fn lpm_batch_path_matches_sequential() {
-        let packets: Vec<Packet> = [
+        let packets = [
             [10, 0, 0, 5],
             [10, 0, 1, 9],
             [10, 200, 0, 1],
@@ -2605,30 +2646,7 @@ mod tests {
         .iter()
         .map(|&dst| packet_to(9, dst, 80))
         .collect();
-
-        let mut sequential = MenshenPipeline::new(TABLE5);
-        sequential
-            .load_module(&lpm_module(9, default_lpm_rules()))
-            .unwrap();
-        let expected: Vec<Verdict> = packets
-            .iter()
-            .map(|p| sequential.process(p.clone()))
-            .collect();
-
-        let mut batched = MenshenPipeline::new(TABLE5);
-        batched
-            .load_module(&lpm_module(9, default_lpm_rules()))
-            .unwrap();
-        let got = batched.process_batch(packets);
-
-        assert_eq!(expected.len(), got.len());
-        for (a, b) in expected.iter().zip(got.iter()) {
-            assert!(verdicts_equivalent(a, b), "{a:?} vs {b:?}");
-        }
-        assert_eq!(
-            sequential.module_counters(ModuleId::new(9)),
-            batched.module_counters(ModuleId::new(9)),
-        );
+        assert_burst_matches_reference(&lpm_module(9, default_lpm_rules()), packets);
     }
 
     /// A range-match module: the UDP dst port (2B slot 0, key offset 20)
@@ -2698,6 +2716,29 @@ mod tests {
         let v = pipeline.process(packet_to(11, [10, 0, 0, 2], 443));
         assert_eq!(forwarded_port(&v), Some(443));
         assert!(pipeline.range_table(ModuleId::new(11), 0).is_some());
+    }
+
+    #[test]
+    fn range_batch_path_matches_sequential() {
+        let rules = vec![
+            RangeMatchRule {
+                lo: 0,
+                hi: 99,
+                priority: 1,
+                action: 0,
+            },
+            RangeMatchRule {
+                lo: 80,
+                hi: 80,
+                priority: 5,
+                action: 1,
+            },
+        ];
+        let packets = [80, 90, 443, 0, 99, 100]
+            .iter()
+            .map(|&port| packet_to(11, [10, 0, 0, 2], port))
+            .collect();
+        assert_burst_matches_reference(&range_module(11, rules), packets);
     }
 
     #[test]

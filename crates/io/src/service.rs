@@ -43,7 +43,7 @@ use menshen_core::{MenshenPipeline, MetricsSnapshot, ModuleConfig, ModuleId};
 use menshen_runtime::{
     ConservationAudit, RuntimeError, RuntimeOptions, ShardStats, ShardedRuntime,
 };
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
@@ -169,9 +169,16 @@ pub struct DrainReport {
     pub balanced: bool,
 }
 
+/// Longest control request line accepted, newline included. Every verb and
+/// its arguments fit in a fraction of this; a peer that streams more without
+/// a newline is disconnected instead of growing the pending line forever.
+const MAX_REQUEST_BYTES: usize = 4096;
+
 struct ControlConn {
     reader: BufReader<TcpStream>,
-    line: String,
+    /// The request line received so far. TCP may deliver a line in several
+    /// segments, so this survives polls until its newline arrives.
+    line: Vec<u8>,
 }
 
 /// A network-attached Menshen service: runtime + backend + control socket.
@@ -368,7 +375,7 @@ impl Service {
                     if stream.set_nonblocking(true).is_ok() {
                         self.conns.push(ControlConn {
                             reader: BufReader::new(stream),
-                            line: String::new(),
+                            line: Vec::new(),
                         });
                     }
                 }
@@ -401,30 +408,35 @@ impl Service {
 
     fn poll_conn(&mut self, index: usize) -> ConnPoll {
         let conn = &mut self.conns[index];
-        conn.line.clear();
-        match conn.reader.read_line(&mut conn.line) {
+        // Appends to what earlier polls received; reads at most one byte past
+        // the bound so an endless line cannot hold the serve loop here.
+        let budget = (MAX_REQUEST_BYTES + 1).saturating_sub(conn.line.len()) as u64;
+        match (&mut conn.reader)
+            .take(budget)
+            .read_until(b'\n', &mut conn.line)
+        {
             Ok(0) => ConnPoll::Closed, // peer hung up
+            Ok(_) if conn.line.len() > MAX_REQUEST_BYTES => ConnPoll::Closed,
             Ok(_) => {
-                let request = std::mem::take(&mut self.conns[index].line);
-                let request = request.trim().to_string();
+                let line = std::mem::take(&mut conn.line);
+                let request = String::from_utf8_lossy(&line);
+                let request = request.trim();
                 if request.is_empty() {
                     return ConnPoll::Served;
                 }
-                let (reply, close) = self.handle_request(&request);
-                let conn = &mut self.conns[index];
-                let stream = conn.reader.get_mut();
-                let ok = stream
-                    .write_all(reply.as_bytes())
-                    .and_then(|_| stream.write_all(b"\n"))
-                    .is_ok();
-                if !ok || close {
+                let (mut reply, close) = self.handle_request(request);
+                reply.push('\n');
+                let stream = self.conns[index].reader.get_mut();
+                if stream.write_all(reply.as_bytes()).is_err() || close {
                     ConnPoll::Closed
                 } else {
                     ConnPoll::Served
                 }
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => ConnPoll::Kept,
-            Err(e) if e.kind() == ErrorKind::Interrupted => ConnPoll::Kept,
+            // The rest of the line has not arrived yet: keep the prefix.
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => {
+                ConnPoll::Kept
+            }
             Err(_) => ConnPoll::Closed,
         }
     }
@@ -550,9 +562,10 @@ pub fn control_request(
     };
     stream.set_read_timeout(Some(timeout))?;
     stream.set_write_timeout(Some(timeout))?;
+    // One write: a request split into two segments is legal TCP, but there
+    // is no reason to provoke it.
     let mut writer = stream.try_clone()?;
-    writer.write_all(request.as_bytes())?;
-    writer.write_all(b"\n")?;
+    writer.write_all(format!("{request}\n").as_bytes())?;
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
     if reader.read_line(&mut line)? == 0 {
@@ -735,6 +748,57 @@ mod tests {
             Err(ServiceError::AlreadyDrained) => {}
             other => panic!("second drain must refuse, got {other:?}"),
         }
+    }
+
+    /// Polls `service` until `done` holds, failing the test after 10 s.
+    fn poll_until(service: &mut Service, what: &str, mut done: impl FnMut(&Service) -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !done(service) {
+            assert!(Instant::now() < deadline, "{what}");
+            service.poll().unwrap();
+        }
+    }
+
+    #[test]
+    fn a_request_split_across_tcp_segments_is_served_whole() {
+        let (io, _handle) = InProcessIo::new();
+        let mut service =
+            Service::new(&template(), Box::new(io), ServiceConfig::default()).unwrap();
+        let mut client = TcpStream::connect(service.control_addr().unwrap()).unwrap();
+        client.set_nodelay(true).unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        // First segment: the service must have read it (and hit WouldBlock
+        // behind it) before the second is written.
+        client.write_all(b"EP").unwrap();
+        poll_until(&mut service, "prefix never arrived", |s| {
+            s.conns.first().is_some_and(|c| c.line == b"EP")
+        });
+        client.write_all(b"OCH\n").unwrap();
+        poll_until(&mut service, "split request never completed", |s| {
+            s.conns.first().is_some_and(|c| c.line.is_empty())
+        });
+        let mut reply = String::new();
+        BufReader::new(&client).read_line(&mut reply).unwrap();
+        assert_eq!(reply, format!("ok {}\n", service.runtime.current_epoch()));
+        service.graceful_drain().unwrap();
+    }
+
+    #[test]
+    fn an_endless_request_line_closes_the_connection() {
+        let (io, _handle) = InProcessIo::new();
+        let mut service =
+            Service::new(&template(), Box::new(io), ServiceConfig::default()).unwrap();
+        let mut client = TcpStream::connect(service.control_addr().unwrap()).unwrap();
+        poll_until(&mut service, "connection never accepted", |s| {
+            !s.conns.is_empty()
+        });
+        client.write_all(&[b'A'; MAX_REQUEST_BYTES + 1]).unwrap();
+        poll_until(&mut service, "oversized line kept the connection", |s| {
+            s.conns.is_empty()
+        });
+        service.graceful_drain().unwrap();
     }
 
     #[test]

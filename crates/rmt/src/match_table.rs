@@ -137,13 +137,12 @@ pub struct MatchEntry {
 /// through a `(key, module_id) → address` hash index maintained on every
 /// install/remove/clear, so the per-packet path is O(1) instead of a linear
 /// scan over every CAM slot. The index always points at the *lowest* matching
-/// address, preserving the priority order a hardware CAM (and the previous
-/// scanning implementation) resolves duplicates with.
+/// address, preserving the priority order a hardware CAM resolves duplicates
+/// with.
 #[derive(Debug, Clone)]
 pub struct ExactMatchTable {
     entries: Vec<Option<MatchEntry>>,
     index: HashMap<(LookupKey, u16), usize>,
-    scan_mode: bool,
     // Statistics live in `Cell`s so `lookup` can take `&self`: shards own
     // their pipelines (the runtime only needs `Send`, never `Sync`), so
     // single-threaded interior mutability is exactly the right tool and the
@@ -158,25 +157,15 @@ impl ExactMatchTable {
         ExactMatchTable {
             entries: vec![None; depth],
             index: HashMap::new(),
-            scan_mode: false,
             lookups: Cell::new(0),
             hits: Cell::new(0),
         }
     }
 
-    /// Switches [`lookup`](Self::lookup) between the O(1) hash index
-    /// (default) and the per-slot scan that models what the CAM hardware
-    /// does — comparing the key against every slot and picking the lowest
-    /// matching address.
-    ///
-    /// Both modes return identical results; only the software cost differs.
-    /// Scan mode exists for the cost model and as the measured "before"
-    /// baseline in the hot-path benchmarks (the pre-index software path
-    /// scanned every slot per stage per packet).
-    pub fn set_scan_mode(&mut self, scan: bool) {
-        self.scan_mode = scan;
-    }
-
+    /// The linear compare over every slot a hardware CAM performs in
+    /// parallel: the lowest matching address. Control-plane only — it
+    /// repoints the index after an eviction and is the reference
+    /// [`verify_index`](Self::verify_index) checks the index against.
     fn scan(&self, key: &LookupKey, module_id: u16) -> Option<usize> {
         self.entries.iter().position(|slot| {
             slot.as_ref()
@@ -269,11 +258,7 @@ impl ExactMatchTable {
     /// the read side needs no exclusive borrow.
     pub fn lookup(&self, key: &LookupKey, module_id: u16) -> Option<usize> {
         self.lookups.set(self.lookups.get() + 1);
-        let hit = if self.scan_mode {
-            self.scan(key, module_id)
-        } else {
-            self.index.get(&(*key, module_id)).copied()
-        };
+        let hit = self.index.get(&(*key, module_id)).copied();
         if hit.is_some() {
             self.hits.set(self.hits.get() + 1);
         }
@@ -423,33 +408,6 @@ mod tests {
         assert_eq!(table.occupancy(), 0);
         assert!(table.remove(5).is_err());
         assert!(table.entry(0).is_none());
-    }
-
-    #[test]
-    fn scan_mode_returns_identical_results() {
-        let mut indexed = ExactMatchTable::new(16);
-        let mut scanning = ExactMatchTable::new(16);
-        scanning.set_scan_mode(true);
-        for i in 0..12u16 {
-            let entry = MatchEntry {
-                key: key_with_first_byte((i % 5) as u8),
-                module_id: i % 3,
-                action_index: i,
-            };
-            indexed.install(usize::from(i), entry).unwrap();
-            scanning.install(usize::from(i), entry).unwrap();
-        }
-        for byte in 0u8..6 {
-            for module in 0u16..4 {
-                let key = key_with_first_byte(byte);
-                assert_eq!(
-                    indexed.lookup(&key, module),
-                    scanning.lookup(&key, module),
-                    "byte {byte} module {module}"
-                );
-            }
-        }
-        assert_eq!(indexed.stats(), scanning.stats());
     }
 
     #[test]

@@ -88,6 +88,8 @@ impl PipelineParams {
     }
 
     /// Returns a copy with a different overlay depth (maximum module count).
+    /// The Menshen pipeline caps it at the 32 modules its packet filter's
+    /// being-reconfigured bitmap can mark.
     pub fn with_overlay_depth(mut self, depth: usize) -> Self {
         self.overlay_depth = depth;
         self

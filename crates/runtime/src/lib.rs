@@ -28,9 +28,8 @@
 //!   chunk spray.
 //! * [`ring`] — cache-padded, atomics-based bounded SPSC burst rings with
 //!   backpressure: cached-index fast path, spin-then-park waiting, lock-free
-//!   occupancy telemetry. Safe per-slot-mutex storage by default; the
-//!   `fast-ring` feature swaps in the classic `UnsafeCell` slot array —
-//!   both run one shared conformance suite.
+//!   occupancy telemetry. One lock-free `UnsafeCell` slot array, the only
+//!   `unsafe` in the crate, confined to a private module of `ring.rs`.
 //! * [`control`] — every configuration change is one [`ControlOp`] batch
 //!   published as a numbered epoch; shards apply epochs in order at burst
 //!   boundaries and acknowledge them, and the flush barrier quiesces every
@@ -47,8 +46,8 @@
 //!   replica replays it on the match-action path so all copies advance in
 //!   lockstep; resize seeds new replicas from any live copy, and
 //!   `supervise()` reseeds a respawned one from a live peer), or **pinned**
-//!   tenant-affine when the module opts out with a pin hint or its parser
-//!   is not digestible ([`Steerer::pin_module`]) — single-owner and
+//!   tenant-affine when its parser is not digestible
+//!   ([`Steerer::pin_module`]) — single-owner and
 //!   migratable, at the price of one shard carrying the whole tenant.
 //! * [`shard`] — the shard and dispatcher thread bodies and the cross-thread
 //!   progress board.
@@ -57,8 +56,9 @@
 //!   exactly testable against a single [`menshen_core::MenshenPipeline`] for
 //!   any dispatcher × shard combination.
 
-#![cfg_attr(not(feature = "fast-ring"), forbid(unsafe_code))]
-#![cfg_attr(feature = "fast-ring", deny(unsafe_code))]
+// `deny`, not `forbid`: the ring's slot array (`ring::slots`) is the one
+// module allowed to override it.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod control;
@@ -76,7 +76,6 @@ pub use events::{
 pub use faults::{FaultPlan, FaultSpec, PacketFault, WorkerFault};
 pub use ring::{
     ring as bounded_ring, ring_with_parker, Consumer, Parker, Producer, PushError, RingClosed,
-    SafeSlots, SlotArray,
 };
 pub use rss::{
     toeplitz_hash, RssHasher, Steerer, SteeringMode, DEFAULT_RSS_KEY, MAX_HASH_INPUT, RETA_SIZE,

@@ -29,24 +29,23 @@
 //! (one per dispatcher) shares one parker across all of them, so any producer
 //! can wake it.
 //!
-//! # Slot storage: safe by default, `fast-ring` for the lock-free array
+//! # Slot storage: the one place this crate uses `unsafe`
 //!
-//! The workspace forbids `unsafe` by default, so slot transfer goes through a
-//! [`SlotArray`] abstraction with two interchangeable implementations:
-//!
-//! * [`SafeSlots`] (default): one `Mutex<Option<T>>` per slot. The SPSC
-//!   index protocol already guarantees a slot is touched by exactly one side
-//!   at a time, so every lock acquisition is uncontended — a single atomic
-//!   exchange, not a syscall — but the checker still sees safe code only.
-//! * [`FastSlots`] (`--features fast-ring`): one `UnsafeCell<MaybeUninit<T>>`
-//!   per slot, the classic lock-free layout. The `unsafe` blocks rely on
-//!   exactly the invariant the index protocol provides (producer writes only
-//!   vacated slots, consumer reads only published ones, positions ordered by
-//!   the acquire/release index handoff) and are confined to this module.
-//!
-//! Both implementations run the same conformance and stress suite
-//! (`ring_conformance_suite!`), so the feature swap cannot change observable
-//! semantics.
+//! The slots are one `UnsafeCell<MaybeUninit<T>>` each, the classic
+//! lock-free SPSC layout (the private `slots` module). A safe store — one
+//! `Mutex<Option<T>>` per slot, every acquisition uncontended under the SPSC
+//! protocol — would also be correct. On the repository's benchmark
+//! (`sharded_rss` `throughput_mpps`, two threaded shards) one set of ten
+//! paired runs had it 4 % slower and a replication left the difference
+//! unresolved (1 %, inside the run-to-run spread); neither store regressed
+//! a gated metric. Two interchangeable stores behind a switch are two
+//! configurations to test, so there is one. The crate is
+//! `#![deny(unsafe_code)]` with a single `#[allow(unsafe_code)]` on that
+//! module: its two `unsafe` blocks rely on exactly the invariant the index
+//! protocol above provides (the producer writes only vacated slots, the
+//! consumer reads only published ones, the acquire/release index handoff
+//! orders the two), and the type is private to this file so no code outside
+//! the protocol can reach a slot.
 
 use menshen_core::Gauge;
 use std::cell::Cell;
@@ -194,94 +193,55 @@ impl Parker {
     }
 }
 
-/// Slot storage for one ring: a fixed array transferring values from the
-/// producer to the consumer.
+/// Slot storage for one ring: a fixed array of bare
+/// `UnsafeCell<MaybeUninit<T>>` cells transferring values from the producer
+/// to the consumer.
 ///
 /// # Contract
 ///
-/// The ring guarantees `write(i, v)` is called only when slot `i` is vacant
-/// and owned by the producer, and `take(i)` only when slot `i` was published
-/// and is owned by the consumer; the head/tail acquire/release handoff
-/// orders the two. Implementations may rely on this exclusivity.
-pub trait SlotArray<T>: Send + Sync {
-    /// Allocates `capacity` vacant slots.
-    fn with_capacity(capacity: usize) -> Self;
-    /// Stores `value` into vacant slot `index`.
-    fn write(&self, index: usize, value: T);
-    /// Moves the value out of occupied slot `index`, leaving it vacant.
-    fn take(&self, index: usize) -> T;
-}
-
-/// The always-available safe slot array: one `Mutex<Option<T>>` per slot.
-/// Every acquisition is uncontended by the SPSC contract, so the cost is one
-/// atomic exchange per slot transfer — the indices, not these locks, carry
-/// the cross-thread synchronisation.
-#[derive(Debug)]
-pub struct SafeSlots<T> {
-    slots: Box<[Mutex<Option<T>>]>,
-}
-
-impl<T: Send> SlotArray<T> for SafeSlots<T> {
-    fn with_capacity(capacity: usize) -> Self {
-        SafeSlots {
-            slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
-        }
-    }
-
-    fn write(&self, index: usize, value: T) {
-        let previous = self.slots[index]
-            .lock()
-            .expect("slot lock poisoned")
-            .replace(value);
-        debug_assert!(previous.is_none(), "SPSC contract: slot was occupied");
-    }
-
-    fn take(&self, index: usize) -> T {
-        self.slots[index]
-            .lock()
-            .expect("slot lock poisoned")
-            .take()
-            .expect("SPSC contract: slot was vacant")
-    }
-}
-
-/// The lock-free slot array behind `--features fast-ring`: bare
-/// `UnsafeCell<MaybeUninit<T>>` slots, relying on the ring's index protocol
-/// for exclusivity and ordering (see [`SlotArray`]'s contract).
-#[cfg(feature = "fast-ring")]
+/// `write(i, v)` may be called only when slot `i` is vacant and owned by the
+/// producer, and `take(i)` only when slot `i` was published and is owned by
+/// the consumer; the ring's head/tail acquire/release handoff orders the
+/// two. The methods are safe `fn`s so that the rest of the crate stays free
+/// of `unsafe` blocks; in exchange [`Slots`] is visible to this file only,
+/// where every caller ([`Producer::commit`], [`Consumer::consume`] and
+/// [`RingInner`]'s `Drop`) sits behind the index protocol.
 #[allow(unsafe_code)]
-pub mod fast {
-    use super::SlotArray;
+mod slots {
     use std::cell::UnsafeCell;
     use std::mem::MaybeUninit;
 
     /// Lock-free slot storage. See the module docs for the safety argument.
     #[derive(Debug)]
-    pub struct FastSlots<T> {
+    pub(super) struct Slots<T> {
         slots: Box<[UnsafeCell<MaybeUninit<T>>]>,
     }
 
-    // SAFETY: the SlotArray contract guarantees each slot is accessed by at
-    // most one thread at a time, with the handoff between threads ordered by
-    // the ring's acquire/release index protocol.
-    unsafe impl<T: Send> Sync for FastSlots<T> {}
+    // SAFETY: the contract guarantees each slot is accessed by at most one
+    // thread at a time, with the handoff between threads ordered by the
+    // ring's acquire/release index protocol; the values themselves cross
+    // threads, hence `T: Send`.
+    unsafe impl<T: Send> Sync for Slots<T> {}
 
-    impl<T: Send> SlotArray<T> for FastSlots<T> {
-        fn with_capacity(capacity: usize) -> Self {
-            FastSlots {
+    impl<T> Slots<T> {
+        /// Allocates `capacity` vacant slots.
+        pub(super) fn with_capacity(capacity: usize) -> Self {
+            Slots {
                 slots: (0..capacity)
                     .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
                     .collect(),
             }
         }
 
-        fn write(&self, index: usize, value: T) {
+        /// Stores `value` into vacant slot `index`.
+        pub(super) fn write(&self, index: usize, value: T) {
             // SAFETY: the contract gives the producer exclusive access to
             // this vacant slot; writing a MaybeUninit drops nothing.
             unsafe { (*self.slots[index].get()).write(value) };
         }
 
-        fn take(&self, index: usize) -> T {
+        /// Moves the value out of occupied slot `index`, leaving it vacant.
+        pub(super) fn take(&self, index: usize) -> T {
             // SAFETY: the contract guarantees the slot holds an initialised
             // value published by the producer, and that the consumer has
             // exclusive access; reading moves the value out, and the ring
@@ -291,20 +251,10 @@ pub mod fast {
     }
 }
 
-#[cfg(feature = "fast-ring")]
-pub use fast::FastSlots;
+use slots::Slots;
 
-/// The slot storage the runtime's rings use: lock-free under
-/// `--features fast-ring`, the safe per-slot-mutex array otherwise.
-#[cfg(feature = "fast-ring")]
-pub type DefaultSlots<T> = FastSlots<T>;
-/// The slot storage the runtime's rings use: lock-free under
-/// `--features fast-ring`, the safe per-slot-mutex array otherwise.
-#[cfg(not(feature = "fast-ring"))]
-pub type DefaultSlots<T> = SafeSlots<T>;
-
-struct RingInner<T, S: SlotArray<T>> {
-    slots: S,
+struct RingInner<T> {
+    slots: Slots<T>,
     capacity: usize,
     /// Consumer position (total items popped). Padded: the producer reloads
     /// it only on the apparent-full slow path.
@@ -319,10 +269,9 @@ struct RingInner<T, S: SlotArray<T>> {
     consumer_parker: Arc<Parker>,
     /// Ring-depth telemetry: observed on every push, never locked.
     depth: Gauge,
-    _marker: std::marker::PhantomData<T>,
 }
 
-impl<T, S: SlotArray<T>> Drop for RingInner<T, S> {
+impl<T> Drop for RingInner<T> {
     fn drop(&mut self) {
         // Drain undelivered items so their destructors run. Only the last
         // handle reaches this, so the relaxed loads are exact.
@@ -335,8 +284,7 @@ impl<T, S: SlotArray<T>> Drop for RingInner<T, S> {
 }
 
 /// Creates a bounded SPSC ring holding at most `capacity` items, returning
-/// the producer and consumer handles. Uses the feature-selected
-/// [`DefaultSlots`] storage and a private consumer parker.
+/// the producer and consumer handles, with a private consumer parker.
 pub fn ring<T: Send>(capacity: usize) -> (Producer<T>, Consumer<T>) {
     ring_with_parker(capacity, Arc::new(Parker::new()))
 }
@@ -347,20 +295,10 @@ pub fn ring<T: Send>(capacity: usize) -> (Producer<T>, Consumer<T>) {
 pub fn ring_with_parker<T: Send>(
     capacity: usize,
     parker: Arc<Parker>,
-) -> (Producer<T, DefaultSlots<T>>, Consumer<T, DefaultSlots<T>>) {
-    ring_with_slots(capacity, parker)
-}
-
-/// [`ring_with_parker`] for an explicit slot-storage implementation; the
-/// conformance suite uses this to drive [`SafeSlots`] and `FastSlots`
-/// through identical tests.
-pub fn ring_with_slots<T: Send, S: SlotArray<T>>(
-    capacity: usize,
-    parker: Arc<Parker>,
-) -> (Producer<T, S>, Consumer<T, S>) {
+) -> (Producer<T>, Consumer<T>) {
     assert!(capacity > 0, "ring capacity must be positive");
     let inner = Arc::new(RingInner {
-        slots: S::with_capacity(capacity),
+        slots: Slots::with_capacity(capacity),
         capacity,
         head: CachePadded(AtomicUsize::new(0)),
         tail: CachePadded(AtomicUsize::new(0)),
@@ -368,7 +306,6 @@ pub fn ring_with_slots<T: Send, S: SlotArray<T>>(
         producer_parker: Parker::new(),
         consumer_parker: parker,
         depth: Gauge::new(),
-        _marker: std::marker::PhantomData,
     });
     (
         Producer {
@@ -383,14 +320,14 @@ pub fn ring_with_slots<T: Send, S: SlotArray<T>>(
 }
 
 /// The producer (dispatcher) side of a bounded ring.
-pub struct Producer<T, S: SlotArray<T> = DefaultSlots<T>> {
-    inner: Arc<RingInner<T, S>>,
+pub struct Producer<T> {
+    inner: Arc<RingInner<T>>,
     /// Last observed consumer position: the fast path pushes without reading
     /// the shared head line while `tail - cached_head < capacity`.
     cached_head: Cell<usize>,
 }
 
-impl<T, S: SlotArray<T>> Producer<T, S> {
+impl<T> Producer<T> {
     /// True when the ring looks full against the *freshly reloaded* head.
     /// Updates the cache.
     fn reload_full(&self, tail: usize) -> bool {
@@ -517,7 +454,7 @@ impl<T, S: SlotArray<T>> Producer<T, S> {
     }
 }
 
-impl<T, S: SlotArray<T>> Drop for Producer<T, S> {
+impl<T> Drop for Producer<T> {
     fn drop(&mut self) {
         // A vanished producer means end-of-stream for the consumer.
         self.close();
@@ -525,14 +462,14 @@ impl<T, S: SlotArray<T>> Drop for Producer<T, S> {
 }
 
 /// The consumer (worker shard) side of a bounded ring.
-pub struct Consumer<T, S: SlotArray<T> = DefaultSlots<T>> {
-    inner: Arc<RingInner<T, S>>,
+pub struct Consumer<T> {
+    inner: Arc<RingInner<T>>,
     /// Last observed producer position: the fast path pops without reading
     /// the shared tail line while `cached_tail > head`.
     cached_tail: Cell<usize>,
 }
 
-impl<T, S: SlotArray<T>> Consumer<T, S> {
+impl<T> Consumer<T> {
     /// True when the ring looks empty against the freshly reloaded tail.
     /// Updates the cache.
     fn reload_empty(&self, head: usize) -> bool {
@@ -616,7 +553,7 @@ impl<T, S: SlotArray<T>> Consumer<T, S> {
     }
 }
 
-impl<T, S: SlotArray<T>> Drop for Consumer<T, S> {
+impl<T> Drop for Consumer<T> {
     fn drop(&mut self) {
         // A vanished consumer must unblock a producer stuck in `push`.
         self.inner.closed.store(true, Ordering::SeqCst);
@@ -629,247 +566,213 @@ mod tests {
     use super::*;
     use std::thread;
 
-    /// The shared conformance + stress suite, instantiated per slot-storage
-    /// implementation: FIFO order, capacity/backpressure, close and drop
-    /// semantics, occupancy telemetry, and a concurrent producer/consumer
-    /// hammer. Both ring implementations must pass the identical suite —
-    /// the `fast-ring` feature swap is not allowed to change observable
-    /// behaviour.
-    macro_rules! ring_conformance_suite {
-        ($module:ident, $slots:ident) => {
-            mod $module {
-                use super::*;
-
-                fn make<T: Send>(
-                    capacity: usize,
-                ) -> (Producer<T, $slots<T>>, Consumer<T, $slots<T>>) {
-                    ring_with_slots(capacity, Arc::new(Parker::new()))
-                }
-
-                #[test]
-                fn fifo_order_and_close_semantics() {
-                    let (tx, rx) = make::<u32>(4);
-                    for i in 0..4 {
-                        tx.push(i).unwrap();
-                    }
-                    assert_eq!(tx.try_push(99), Err(99), "ring is full");
-                    assert_eq!(rx.pop(), Some(0));
-                    assert_eq!(tx.try_push(99), Ok(()), "one slot freed");
-                    tx.close();
-                    assert_eq!(rx.pop(), Some(1));
-                    assert_eq!(rx.pop(), Some(2));
-                    assert_eq!(rx.pop(), Some(3));
-                    assert!(!rx.is_finished(), "still one queued item");
-                    assert_eq!(rx.pop(), Some(99));
-                    assert!(rx.is_finished());
-                    assert_eq!(rx.pop(), None, "closed and drained");
-                    assert_eq!(tx.push(7), Err(RingClosed));
-                }
-
-                #[test]
-                fn occupancy_is_lock_free_and_tracks_watermark() {
-                    let (tx, rx) = make::<u8>(8);
-                    assert!(tx.is_empty());
-                    assert_eq!(rx.occupancy(), 0);
-                    for i in 0..5 {
-                        tx.push(i).unwrap();
-                    }
-                    assert_eq!(tx.len(), 5);
-                    assert_eq!(rx.occupancy(), 5);
-                    rx.try_pop().unwrap();
-                    rx.try_pop().unwrap();
-                    assert_eq!(tx.len(), 3);
-                    tx.push(9).unwrap();
-                    assert_eq!(tx.depth_high_watermark(), 5, "deepest point was 5");
-                    assert_eq!(rx.depth_high_watermark(), 5);
-                }
-
-                #[test]
-                fn blocking_push_applies_backpressure_across_threads() {
-                    let (tx, rx) = make::<u64>(2);
-                    let producer = thread::spawn(move || {
-                        for i in 0..10_000u64 {
-                            tx.push(i).unwrap();
-                        }
-                    });
-                    let mut expected = 0u64;
-                    while let Some(item) = rx.pop() {
-                        assert_eq!(item, expected, "FIFO order under backpressure");
-                        expected += 1;
-                        if expected == 10_000 {
-                            break;
-                        }
-                    }
-                    producer.join().unwrap();
-                    assert_eq!(expected, 10_000);
-                }
-
-                #[test]
-                fn concurrent_hammer_preserves_order_and_loses_nothing() {
-                    // Deliberately tiny capacity so both sides cross the
-                    // full/empty boundaries (and the spin→park transition)
-                    // constantly.
-                    const ITEMS: u64 = 200_000;
-                    let (tx, rx) = make::<u64>(4);
-                    let producer = thread::spawn(move || {
-                        for i in 0..ITEMS {
-                            tx.push(i).unwrap();
-                        }
-                        // tx drops here: end-of-stream for the consumer.
-                    });
-                    let consumer = thread::spawn(move || {
-                        let mut next = 0u64;
-                        while let Some(item) = rx.pop() {
-                            assert_eq!(item, next);
-                            next += 1;
-                        }
-                        next
-                    });
-                    producer.join().unwrap();
-                    assert_eq!(consumer.join().unwrap(), ITEMS, "every item delivered");
-                }
-
-                #[test]
-                fn dropping_consumer_unblocks_producer() {
-                    let (tx, rx) = make::<u8>(1);
-                    tx.push(1).unwrap();
-                    let producer = thread::spawn(move || tx.push(2));
-                    drop(rx);
-                    assert_eq!(producer.join().unwrap(), Err(RingClosed));
-                }
-
-                #[test]
-                fn dropping_producer_finishes_the_stream() {
-                    let (tx, rx) = make::<u8>(4);
-                    tx.push(1).unwrap();
-                    drop(tx);
-                    assert_eq!(rx.pop(), Some(1), "queued items still drain");
-                    assert_eq!(rx.pop(), None, "then end-of-stream");
-                }
-
-                #[test]
-                fn dropping_a_loaded_ring_drops_queued_items() {
-                    use std::sync::atomic::AtomicUsize;
-                    static DROPS: AtomicUsize = AtomicUsize::new(0);
-                    struct Counted;
-                    impl Drop for Counted {
-                        fn drop(&mut self) {
-                            DROPS.fetch_add(1, Ordering::SeqCst);
-                        }
-                    }
-                    DROPS.store(0, Ordering::SeqCst);
-                    let (tx, rx) = make::<Counted>(8);
-                    for _ in 0..5 {
-                        tx.push(Counted).unwrap();
-                    }
-                    drop(rx.pop()); // one consumed and dropped normally
-                    drop(tx);
-                    drop(rx); // four still queued: the ring must free them
-                    assert_eq!(DROPS.load(Ordering::SeqCst), 5, "no queued item leaked");
-                }
-
-                #[test]
-                fn shared_parker_wakes_a_multi_ring_consumer() {
-                    let parker = Arc::new(Parker::new());
-                    let (tx_a, rx_a) = ring_with_slots::<u32, $slots<u32>>(4, Arc::clone(&parker));
-                    let (tx_b, rx_b) = ring_with_slots::<u32, $slots<u32>>(4, Arc::clone(&parker));
-                    let consumer = thread::spawn(move || {
-                        // Drain both rings until both finish, parking on the
-                        // shared parker whenever both are empty.
-                        let mut seen = Vec::new();
-                        loop {
-                            let mut progressed = false;
-                            for rx in [&rx_a, &rx_b] {
-                                if let Some(item) = rx.try_pop() {
-                                    seen.push(item);
-                                    progressed = true;
-                                }
-                            }
-                            if progressed {
-                                continue;
-                            }
-                            if rx_a.is_finished() && rx_b.is_finished() {
-                                return seen;
-                            }
-                            rx_a.parker().park_until(|| {
-                                rx_a.occupancy() > 0
-                                    || rx_b.occupancy() > 0
-                                    || (rx_a.is_finished() && rx_b.is_finished())
-                            });
-                        }
-                    });
-                    // Give the consumer time to park, then wake it from
-                    // either producer.
-                    thread::sleep(std::time::Duration::from_millis(10));
-                    tx_b.push(2).unwrap();
-                    thread::sleep(std::time::Duration::from_millis(10));
-                    tx_a.push(1).unwrap();
-                    drop(tx_a);
-                    drop(tx_b);
-                    let mut seen = consumer.join().unwrap();
-                    seen.sort_unstable();
-                    assert_eq!(seen, vec![1, 2]);
-                }
-
-                #[test]
-                fn push_deadline_sheds_instead_of_parking_forever() {
-                    let (tx, rx) = make::<u8>(2);
-                    tx.push(1).unwrap();
-                    tx.push(2).unwrap();
-                    // Full ring, nobody draining: the bounded push must come
-                    // back with Timeout and hand the value back.
-                    let start = Instant::now();
-                    match tx.push_deadline(3, Duration::from_millis(20)) {
-                        Err(PushError::Timeout(value)) => assert_eq!(value, 3),
-                        other => panic!("expected timeout, got {other:?}"),
-                    }
-                    assert!(start.elapsed() >= Duration::from_millis(20));
-                    // A freed slot lets the same call succeed immediately.
-                    assert_eq!(rx.pop(), Some(1));
-                    tx.push_deadline(3, Duration::from_millis(20)).unwrap();
-                    assert_eq!(rx.pop(), Some(2));
-                    assert_eq!(rx.pop(), Some(3));
-                }
-
-                #[test]
-                fn push_deadline_reports_closed_ring() {
-                    let (tx, rx) = make::<u8>(1);
-                    tx.push(1).unwrap();
-                    rx.close();
-                    match tx.push_deadline(2, Duration::from_secs(5)) {
-                        Err(PushError::Closed(value)) => assert_eq!(value, 2),
-                        other => panic!("expected closed, got {other:?}"),
-                    }
-                    // The consumer can still drain what was queued.
-                    assert_eq!(rx.pop(), Some(1));
-                    assert!(rx.is_finished());
-                }
-
-                #[test]
-                fn consumer_close_unblocks_parked_producer() {
-                    let (tx, rx) = make::<u8>(1);
-                    tx.push(1).unwrap();
-                    let producer = thread::spawn(move || tx.push(2));
-                    thread::sleep(std::time::Duration::from_millis(10));
-                    rx.close();
-                    assert_eq!(producer.join().unwrap(), Err(RingClosed));
-                    assert_eq!(rx.pop(), Some(1), "residue drains after close");
-                }
-            }
-        };
+    #[test]
+    fn fifo_order_and_close_semantics() {
+        let (tx, rx) = ring::<u32>(4);
+        for i in 0..4 {
+            tx.push(i).unwrap();
+        }
+        assert_eq!(tx.try_push(99), Err(99), "ring is full");
+        assert_eq!(rx.pop(), Some(0));
+        assert_eq!(tx.try_push(99), Ok(()), "one slot freed");
+        tx.close();
+        assert_eq!(rx.pop(), Some(1));
+        assert_eq!(rx.pop(), Some(2));
+        assert_eq!(rx.pop(), Some(3));
+        assert!(!rx.is_finished(), "still one queued item");
+        assert_eq!(rx.pop(), Some(99));
+        assert!(rx.is_finished());
+        assert_eq!(rx.pop(), None, "closed and drained");
+        assert_eq!(tx.push(7), Err(RingClosed));
     }
 
-    ring_conformance_suite!(safe_ring, SafeSlots);
-    #[cfg(feature = "fast-ring")]
-    ring_conformance_suite!(fast_ring, FastSlots);
+    #[test]
+    fn occupancy_is_lock_free_and_tracks_watermark() {
+        let (tx, rx) = ring::<u8>(8);
+        assert!(tx.is_empty());
+        assert_eq!(rx.occupancy(), 0);
+        for i in 0..5 {
+            tx.push(i).unwrap();
+        }
+        assert_eq!(tx.len(), 5);
+        assert_eq!(rx.occupancy(), 5);
+        rx.try_pop().unwrap();
+        rx.try_pop().unwrap();
+        assert_eq!(tx.len(), 3);
+        tx.push(9).unwrap();
+        assert_eq!(tx.depth_high_watermark(), 5, "deepest point was 5");
+        assert_eq!(rx.depth_high_watermark(), 5);
+    }
 
     #[test]
-    fn default_ring_selects_the_feature_implementation() {
-        // Smoke-test the public constructor (whatever the feature picked).
-        let (tx, rx) = ring::<u32>(2);
-        tx.push(7).unwrap();
-        assert_eq!(rx.pop(), Some(7));
-        tx.close();
-        assert_eq!(rx.pop(), None);
+    fn blocking_push_applies_backpressure_across_threads() {
+        let (tx, rx) = ring::<u64>(2);
+        let producer = thread::spawn(move || {
+            for i in 0..10_000u64 {
+                tx.push(i).unwrap();
+            }
+        });
+        let mut expected = 0u64;
+        while let Some(item) = rx.pop() {
+            assert_eq!(item, expected, "FIFO order under backpressure");
+            expected += 1;
+            if expected == 10_000 {
+                break;
+            }
+        }
+        producer.join().unwrap();
+        assert_eq!(expected, 10_000);
+    }
+
+    #[test]
+    fn concurrent_hammer_preserves_order_and_loses_nothing() {
+        // Deliberately tiny capacity so both sides cross the
+        // full/empty boundaries (and the spin→park transition)
+        // constantly.
+        const ITEMS: u64 = 200_000;
+        let (tx, rx) = ring::<u64>(4);
+        let producer = thread::spawn(move || {
+            for i in 0..ITEMS {
+                tx.push(i).unwrap();
+            }
+            // tx drops here: end-of-stream for the consumer.
+        });
+        let consumer = thread::spawn(move || {
+            let mut next = 0u64;
+            while let Some(item) = rx.pop() {
+                assert_eq!(item, next);
+                next += 1;
+            }
+            next
+        });
+        producer.join().unwrap();
+        assert_eq!(consumer.join().unwrap(), ITEMS, "every item delivered");
+    }
+
+    #[test]
+    fn dropping_consumer_unblocks_producer() {
+        let (tx, rx) = ring::<u8>(1);
+        tx.push(1).unwrap();
+        let producer = thread::spawn(move || tx.push(2));
+        drop(rx);
+        assert_eq!(producer.join().unwrap(), Err(RingClosed));
+    }
+
+    #[test]
+    fn dropping_producer_finishes_the_stream() {
+        let (tx, rx) = ring::<u8>(4);
+        tx.push(1).unwrap();
+        drop(tx);
+        assert_eq!(rx.pop(), Some(1), "queued items still drain");
+        assert_eq!(rx.pop(), None, "then end-of-stream");
+    }
+
+    #[test]
+    fn dropping_a_loaded_ring_drops_queued_items() {
+        use std::sync::atomic::AtomicUsize;
+        static DROPS: AtomicUsize = AtomicUsize::new(0);
+        struct Counted;
+        impl Drop for Counted {
+            fn drop(&mut self) {
+                DROPS.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        DROPS.store(0, Ordering::SeqCst);
+        let (tx, rx) = ring::<Counted>(8);
+        for _ in 0..5 {
+            tx.push(Counted).unwrap();
+        }
+        drop(rx.pop()); // one consumed and dropped normally
+        drop(tx);
+        drop(rx); // four still queued: the ring must free them
+        assert_eq!(DROPS.load(Ordering::SeqCst), 5, "no queued item leaked");
+    }
+
+    #[test]
+    fn shared_parker_wakes_a_multi_ring_consumer() {
+        let parker = Arc::new(Parker::new());
+        let (tx_a, rx_a) = ring_with_parker::<u32>(4, Arc::clone(&parker));
+        let (tx_b, rx_b) = ring_with_parker::<u32>(4, Arc::clone(&parker));
+        let consumer = thread::spawn(move || {
+            // Drain both rings until both finish, parking on the
+            // shared parker whenever both are empty.
+            let mut seen = Vec::new();
+            loop {
+                let mut progressed = false;
+                for rx in [&rx_a, &rx_b] {
+                    if let Some(item) = rx.try_pop() {
+                        seen.push(item);
+                        progressed = true;
+                    }
+                }
+                if progressed {
+                    continue;
+                }
+                if rx_a.is_finished() && rx_b.is_finished() {
+                    return seen;
+                }
+                rx_a.parker().park_until(|| {
+                    rx_a.occupancy() > 0
+                        || rx_b.occupancy() > 0
+                        || (rx_a.is_finished() && rx_b.is_finished())
+                });
+            }
+        });
+        // Give the consumer time to park, then wake it from
+        // either producer.
+        thread::sleep(std::time::Duration::from_millis(10));
+        tx_b.push(2).unwrap();
+        thread::sleep(std::time::Duration::from_millis(10));
+        tx_a.push(1).unwrap();
+        drop(tx_a);
+        drop(tx_b);
+        let mut seen = consumer.join().unwrap();
+        seen.sort_unstable();
+        assert_eq!(seen, vec![1, 2]);
+    }
+
+    #[test]
+    fn push_deadline_sheds_instead_of_parking_forever() {
+        let (tx, rx) = ring::<u8>(2);
+        tx.push(1).unwrap();
+        tx.push(2).unwrap();
+        // Full ring, nobody draining: the bounded push must come
+        // back with Timeout and hand the value back.
+        let start = Instant::now();
+        match tx.push_deadline(3, Duration::from_millis(20)) {
+            Err(PushError::Timeout(value)) => assert_eq!(value, 3),
+            other => panic!("expected timeout, got {other:?}"),
+        }
+        assert!(start.elapsed() >= Duration::from_millis(20));
+        // A freed slot lets the same call succeed immediately.
+        assert_eq!(rx.pop(), Some(1));
+        tx.push_deadline(3, Duration::from_millis(20)).unwrap();
+        assert_eq!(rx.pop(), Some(2));
+        assert_eq!(rx.pop(), Some(3));
+    }
+
+    #[test]
+    fn push_deadline_reports_closed_ring() {
+        let (tx, rx) = ring::<u8>(1);
+        tx.push(1).unwrap();
+        rx.close();
+        match tx.push_deadline(2, Duration::from_secs(5)) {
+            Err(PushError::Closed(value)) => assert_eq!(value, 2),
+            other => panic!("expected closed, got {other:?}"),
+        }
+        // The consumer can still drain what was queued.
+        assert_eq!(rx.pop(), Some(1));
+        assert!(rx.is_finished());
+    }
+
+    #[test]
+    fn consumer_close_unblocks_parked_producer() {
+        let (tx, rx) = ring::<u8>(1);
+        tx.push(1).unwrap();
+        let producer = thread::spawn(move || tx.push(2));
+        thread::sleep(std::time::Duration::from_millis(10));
+        rx.close();
+        assert_eq!(producer.join().unwrap(), Err(RingClosed));
+        assert_eq!(rx.pop(), Some(1), "residue drains after close");
     }
 }

@@ -175,9 +175,8 @@ pub enum SteeringMode {
 ///   steering, a pinned module's packets are steered by the *tenant* hash
 ///   instead — all of its traffic lands on one shard, giving it exactly one
 ///   live copy of its stateful memory. Pinning is the fallback for
-///   non-mergeable modules whose parsers are too wide to digest (or that an
-///   operator pins explicitly); pinned state is *migrated* single-owner on
-///   RETA changes.
+///   non-mergeable modules whose parsers are too wide to digest; pinned
+///   state is *migrated* single-owner on RETA changes.
 /// * **State-compute replication**
 ///   ([`set_replicated`](Self::set_replicated)): a non-mergeable module
 ///   whose parser projects into a compact [`DigestSpec`] spreads its flows

@@ -639,8 +639,8 @@ impl ShardedRuntime {
     /// [`MenshenPipeline::module_execution_mode`]: digestible programs are
     /// **replicated** ([`Steerer::set_replicated`]) — every shard keeps a
     /// bit-identical copy of the state, kept in sync by per-packet state
-    /// digests broadcast from the dispatch plane — while pin-hinted or
-    /// non-digestible programs are **pinned** to tenant-affine steering
+    /// digests broadcast from the dispatch plane — while non-digestible
+    /// programs are **pinned** to tenant-affine steering
     /// ([`Steerer::pin_module`]), so exactly one shard owns each one's
     /// state and live resharding migrates that copy when the RETA changes.
     pub fn from_pipeline(template: &MenshenPipeline, options: RuntimeOptions) -> Self {
@@ -3729,10 +3729,15 @@ mod tests {
             .update_module(&simple_module(1, 0x0a00_0002, 1111))
             .unwrap();
         assert_eq!(runtime.replicated_modules(), vec![3]);
-        // The explicit pin hint opts a program out of replication.
-        runtime
-            .load_module(&storing_module(5).with_pinned(true))
-            .unwrap();
+        // A parser wider than a digest can carry cannot replicate: the
+        // program falls back to the pinned single-owner regime.
+        let mut undigestible = storing_module(5);
+        let last = *undigestible.parser.actions.last().unwrap();
+        undigestible
+            .parser
+            .actions
+            .resize(menshen_core::DIGEST_MAX_FIELDS + 1, last);
+        runtime.load_module(&undigestible).unwrap();
         assert_eq!(runtime.pinned_modules(), vec![5]);
         assert_eq!(runtime.replicated_modules(), vec![3]);
         // Unloading clears either regime.

@@ -523,10 +523,10 @@ fn resize_equivalence_holds_across_seeds_and_starts() {
     }
 }
 
-/// The pin-hint scenario: a stateful program whose state is NOT mergeable
-/// (it `store`s packet-derived values) opts OUT of state-compute
-/// replication with the load-time pin hint, runs under 5-tuple steering as
-/// a pinned single owner, and its state migrates across grow and shrink
+/// The pinned scenario: a stateful program whose state is NOT mergeable
+/// (it `store`s packet-derived values) and whose parser is too wide to
+/// digest cannot replicate, runs under 5-tuple steering as a pinned single
+/// owner, and its state migrates across grow and shrink
 /// resizes, staying equivalent to the lone pipeline throughout.
 #[test]
 fn non_mergeable_program_migrates_under_five_tuple_resizes() {
@@ -539,9 +539,16 @@ fn non_mergeable_program_migrates_under_five_tuple_resizes() {
     );
     // Tenant 1: a storing (non-mergeable) program — match its flow-rule dst
     // IPs, rewrite the port AND store the dst-IP container into stateful
-    // word 2 — with the pin hint set, so it stays single-owner instead of
-    // replicating. Tenants 2..: the usual mergeable flow-rule programs.
-    let mut storing = tenant_module(1, 1001).with_pinned(true);
+    // word 2 — with a parser too wide to digest (its last extraction
+    // repeated past `DIGEST_MAX_FIELDS`, which changes nothing else), so it
+    // stays single-owner instead of replicating. Tenants 2..: the usual
+    // mergeable flow-rule programs.
+    let mut storing = tenant_module(1, 1001);
+    let last = *storing.parser.actions.last().unwrap();
+    storing
+        .parser
+        .actions
+        .resize(menshen_core::DIGEST_MAX_FIELDS + 1, last);
     for rule in &mut storing.stages[0].rules {
         rule.action = rule
             .action
@@ -553,11 +560,11 @@ fn non_mergeable_program_migrates_under_five_tuple_resizes() {
     assert_eq!(
         sharded.pinned_modules(),
         vec![1],
-        "the pin hint must force single ownership"
+        "an undigestible parser must force single ownership"
     );
     assert!(
         sharded.replicated_modules().is_empty(),
-        "a pin-hinted program must not replicate"
+        "a pinned program must not replicate"
     );
     for module in 2..=TENANTS {
         let config = tenant_module(module, 1000 + module);
@@ -667,7 +674,7 @@ fn five_tuple_steering_preserves_mergeable_state_totals() {
 
 /// Builds the storing (non-mergeable) tenant used by the replication tests:
 /// the shared flow-rule shape plus a `store` of the dst-IP container into
-/// stateful word 2. Without a pin hint it classifies as Replicated.
+/// stateful word 2. Its parser digests, so it classifies as Replicated.
 fn storing_tenant(module_id: u16, rewrite_port: u16) -> ModuleConfig {
     let mut storing = tenant_module(module_id, rewrite_port);
     for rule in &mut storing.stages[0].rules {
@@ -705,7 +712,7 @@ fn replicated_storing_program_matches_the_lone_pipeline_across_shard_counts() {
         );
         assert!(
             sharded.pinned_modules().is_empty(),
-            "no program asked for the pin hint"
+            "every program here is digestible"
         );
         for module in 2..=TENANTS {
             let config = tenant_module(module, 1000 + module);

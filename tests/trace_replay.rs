@@ -120,7 +120,7 @@ fn paced_replay_through_a_lone_pipeline_matches_the_capture_clock() {
 }
 
 #[test]
-fn non_mergeable_state_replicates_under_five_tuple_steering_unless_pin_hinted() {
+fn non_mergeable_state_replicates_under_five_tuple_steering_unless_undigestible() {
     use menshen::rmt::action::{AluInstruction, VliwAction};
     use menshen::rmt::phv::ContainerRef as C;
 
@@ -138,15 +138,21 @@ fn non_mergeable_state_replicates_under_five_tuple_steering_unless_pin_hinted() 
     assert!(runtime.pinned_modules().is_empty());
     assert_eq!(runtime.replicated_modules(), vec![1]);
     runtime.shutdown();
-    // The pin hint opts back into the tenant-affine single-owner regime
-    // (one shard owns the state; live resharding migrates that copy).
+    // A program whose parser is too wide to digest cannot replicate and
+    // falls back to the tenant-affine single-owner regime (one shard owns
+    // the state; live resharding migrates that copy): repeating its last
+    // extraction past `DIGEST_MAX_FIELDS` changes nothing else.
     let mut pinned = ShardedRuntime::new(
         TABLE5.with_table_depth(1024),
         RuntimeOptions::threaded(2).with_steering(SteeringMode::FiveTuple),
     );
-    pinned
-        .load_module(&config.clone().with_pinned(true))
-        .unwrap();
+    let mut undigestible = config.clone();
+    let last = *undigestible.parser.actions.last().unwrap();
+    undigestible
+        .parser
+        .actions
+        .resize(menshen::core::DIGEST_MAX_FIELDS + 1, last);
+    pinned.load_module(&undigestible).unwrap();
     assert_eq!(pinned.pinned_modules(), vec![1]);
     assert!(pinned.replicated_modules().is_empty());
     pinned.shutdown();
