@@ -281,6 +281,9 @@ impl Service {
         };
         self.rx_buf.clear();
         let burst = self.burst_size;
+        // The previous batch left with its vector; size the new one once
+        // rather than letting `rx_burst` grow it by doubling.
+        self.rx_buf.reserve(burst);
         let got = self.backend.rx_burst(&mut self.rx_buf, burst)?;
         if got > 0 {
             let batch = std::mem::take(&mut self.rx_buf);

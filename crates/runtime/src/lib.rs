@@ -18,6 +18,7 @@
 //!                   ▲                            ▲
 //!                   │      epoch-versioned       │  applied at burst
 //!                   └──── control-plane log ─────┘  boundaries, acked
+//!  submitter ◀═══════ return rings: spent bursts ═══════ shards
 //! ```
 //!
 //! * [`rss`] — Toeplitz hashing (bit-exact against the Microsoft RSS test
@@ -29,7 +30,9 @@
 //! * [`ring`] — cache-padded, atomics-based bounded SPSC burst rings with
 //!   backpressure: cached-index fast path, spin-then-park waiting, lock-free
 //!   occupancy telemetry. One lock-free `UnsafeCell` slot array, the only
-//!   `unsafe` in the crate, confined to a private module of `ring.rs`.
+//!   `unsafe` in the crate, confined to a private module of `ring.rs`. The
+//!   same ring type carries each shard's spent bursts back to the
+//!   submitting thread, which frees the frames it allocated.
 //! * [`control`] — every configuration change is one [`ControlOp`] batch
 //!   published as a numbered epoch; shards apply epochs in order at burst
 //!   boundaries and acknowledge them, and the flush barrier quiesces every

@@ -46,7 +46,7 @@
 use crate::control::{CompactionReport, ControlOp, EpochEntry};
 use crate::events::{ControlEvent, ControlEventKind};
 use crate::faults::FaultPlan;
-use crate::ring::{ring, ring_with_parker, Parker, Producer, PushError};
+use crate::ring::{ring, ring_with_parker, Consumer, Parker, Producer, PushError};
 use crate::rss::{Steerer, SteeringMode, RETA_SIZE};
 use crate::shard::{
     apply_entry, process_shard_burst, run_dispatcher, run_worker, Burst, DispatcherUpdate,
@@ -427,6 +427,10 @@ struct Worker {
     /// The single input ring's producer in inline-dispatch mode; `None`
     /// when dispatcher threads own the producers.
     input: Option<Producer<ShardBurst>>,
+    /// The consumer side of the shard's return ring: spent bursts come back
+    /// here so the thread that allocated their frames frees them
+    /// ([`reclaim`]).
+    home: Consumer<Burst>,
     /// The shard's park handle (shared by all its input rings): the control
     /// plane wakes it so published epochs are applied promptly even while
     /// idle.
@@ -451,10 +455,12 @@ enum Backend {
 }
 
 /// Spawns one worker-shard thread with one input ring per producer row
-/// (dispatcher, or the single inline row), all sharing the shard's parker.
-/// Returns the handle plus the ring producers in row order. Used both at
-/// construction and when a live resize stands up additional shards —
-/// `initial_epoch` is the epoch the shard's pipeline already embodies.
+/// (dispatcher, or the single inline row), all sharing the shard's parker,
+/// and one return ring as deep as those input rings together (so it holds
+/// every burst that can be in flight towards the shard). Returns the handle
+/// plus the ring producers in row order. Used both at construction and when
+/// a live resize stands up additional shards — `initial_epoch` is the epoch
+/// the shard's pipeline already embodies.
 fn spawn_worker(
     shared: &Arc<Shared>,
     options: &RuntimeOptions,
@@ -471,6 +477,7 @@ fn spawn_worker(
         producers.push(producer);
         consumers.push(consumer);
     }
+    let (home_tx, home) = ring(rows * options.ring_capacity);
     let thread_shared = Arc::clone(shared);
     let worker_parker = Arc::clone(&parker);
     let handle = std::thread::Builder::new()
@@ -480,6 +487,7 @@ fn spawn_worker(
                 index,
                 pipeline,
                 consumers,
+                home_tx,
                 worker_parker,
                 thread_shared,
                 initial_epoch,
@@ -489,12 +497,69 @@ fn spawn_worker(
     (
         Worker {
             input: None,
+            home,
             parker,
             handle: Some(handle),
             submitted_bursts: 0,
         },
         producers,
     )
+}
+
+/// Empties the workers' return rings on the calling thread — the thread
+/// that submitted, and so allocated, the frames in them. The frames are
+/// freed here; the emptied vectors become spare burst storage, up to one
+/// full drain of every return ring: fewer would free vectors only to
+/// allocate them again, and dispatcher threads mint a fresh vector per
+/// burst, so without a bound the list would grow with the traffic.
+fn reclaim(workers: &[Worker], spares: &mut Vec<Burst>, options: &RuntimeOptions) {
+    let limit = options.shards * options.dispatchers.max(1) * options.ring_capacity;
+    for worker in workers {
+        while let Some(mut spent) = worker.home.try_pop() {
+            spent.clear();
+            if spares.len() < limit {
+                spares.push(spent);
+            }
+        }
+    }
+}
+
+/// An empty burst vector to fill: a reclaimed one if any is left.
+fn spare(spares: &mut Vec<Burst>, burst_size: usize) -> Burst {
+    spares
+        .pop()
+        .unwrap_or_else(|| Vec::with_capacity(burst_size))
+}
+
+/// Hands one sealed burst to an inline worker's input ring, waiting at most
+/// `wait` on a full ring. A refused burst is accounted — shed per tenant
+/// (still full at the deadline: the overloaded tenant's own drop) or lost
+/// (closed: the worker is gone) — and dropped here, on the submitting
+/// thread. Returns false when the ring was closed.
+fn push_inline(
+    worker: &mut Worker,
+    burst: ShardBurst,
+    wait: Duration,
+    shed: &mut BTreeMap<u16, u64>,
+    lost: &mut u64,
+) -> bool {
+    let input = worker.input.as_ref().expect("inline worker has a producer");
+    match input.push_deadline(burst, wait) {
+        Ok(()) => worker.submitted_bursts += 1,
+        Err(PushError::Timeout(burst)) => {
+            // Shed bursts drop their digests with their packets — under
+            // overload the replicas may diverge until rebuilt, the
+            // documented degraded regime.
+            for packet in &burst.packets {
+                *shed.entry(crate::shard::packet_tenant(packet)).or_insert(0) += 1;
+            }
+        }
+        Err(PushError::Closed(burst)) => {
+            *lost += burst.packets.len() as u64;
+            return false;
+        }
+    }
+    true
 }
 
 /// Once the live portion of the epoch log reaches this many entries, the
@@ -570,14 +635,18 @@ pub struct ShardedRuntime {
     genesis: MenshenPipeline,
     // Dispatcher scratch, reused across calls so steady-state dispatch does
     // not allocate. In deterministic mode the scratch is indexed by
-    // (dispatcher × shard) group; the inline threaded path uses the first
-    // `shards` entries.
+    // (dispatcher × shard) group; the inline threaded path keeps one open
+    // burst per shard in the first `shards` entries, and the spray to
+    // dispatcher threads one open chunk per dispatcher.
     scatter: Vec<Vec<Packet>>,
     scatter_pos: Vec<Vec<usize>>,
     /// Per-group state digests awaiting dispatch, parallel to `scatter`:
     /// each digest's `before` indexes into the receiving group's packet
     /// scatter, so replicated-module replay interleaves in global order.
     digest_scatter: Vec<Vec<StateDigest>>,
+    /// Emptied burst vectors that came home over the return rings, refilled
+    /// by the threaded dispatch paths instead of allocating.
+    spares: Vec<Burst>,
     verdict_scratch: Vec<Verdict>,
     interleave_scratch: Vec<Verdict>,
     reorder: Vec<Option<Verdict>>,
@@ -740,6 +809,7 @@ impl ShardedRuntime {
             scatter: vec![Vec::new(); groups],
             scatter_pos: vec![Vec::new(); groups],
             digest_scatter: vec![Vec::new(); groups],
+            spares: Vec::new(),
             verdict_scratch: Vec::new(),
             interleave_scratch: Vec::new(),
             reorder: Vec::new(),
@@ -1664,6 +1734,9 @@ impl ShardedRuntime {
                             let _ = handle.join();
                         }
                     }
+                    // The retirees' last spent bursts come home before
+                    // their return rings are dropped.
+                    reclaim(&workers[new_shards..], &mut self.spares, &self.options);
                     // Dropping a retired worker drops its inline producer
                     // (if any), closing the already-drained ring.
                     workers.truncate(new_shards);
@@ -1974,11 +2047,23 @@ impl ShardedRuntime {
     /// the ingress stage never copies packet payloads.
     ///
     /// With inline dispatch (`dispatchers == 0`) the calling thread steers
-    /// the whole submission into per-shard scratch first and only then
-    /// touches the rings — ring synchronisation once per (shard, burst),
-    /// never per packet. With dispatcher threads the calling thread only
-    /// sprays burst-sized chunks over the dispatcher input rings; the
-    /// dispatchers steer in parallel.
+    /// each packet into its shard's open burst and pushes a burst the
+    /// moment it is full — ring synchronisation once per (shard, burst),
+    /// never per packet, in time linear in the submission. With dispatcher
+    /// threads the calling thread only sprays burst-sized chunks over the
+    /// dispatcher input rings; the dispatchers steer in parallel.
+    ///
+    /// Frame lifecycle: caller → input ring → shard → return ring → caller.
+    /// The shards never free a submitted frame; each sends its spent bursts
+    /// home over a per-shard return ring, and this method — *after* it has
+    /// pushed the new bursts, so off the packets' latency path — frees the
+    /// frames that have arrived on the calling thread and keeps the emptied
+    /// vectors to fill next time ([`flush`](Self::flush),
+    /// [`supervise`](Self::supervise), resizes and
+    /// [`shutdown`](Self::shutdown) do the same). Calling from one thread
+    /// therefore keeps every frame's allocation and free on that thread. A
+    /// caller that stops calling is harmless: when a return ring is full the
+    /// shard drops the burst itself.
     ///
     /// Every packet is stamped with the runtime's ingress clock
     /// (`Packet::timestamp_ns`, nanoseconds since runtime start) so the
@@ -1998,18 +2083,39 @@ impl ShardedRuntime {
         let ingress_ns = self.shared.now_ns();
         self.submitted_packets += packets.len() as u64;
         let wait = self.options.submit_wait;
+        let burst_size = self.options.burst_size;
         if dispatchers.is_empty() {
-            // Inline dispatch: steer everything into per-shard scratch
-            // first (no ring traffic at all), then push whole bursts.
-            // Replicated-module packets additionally leave a state digest
-            // in every other shard's digest scratch, anchored at that
-            // shard's current packet count so replay interleaves in
-            // submission order.
+            // Inline dispatch: steer each packet straight into its shard's
+            // open burst and hand the burst over the moment it is full —
+            // one ring operation per (shard, burst), and no second pass
+            // over the submission however large it is. A replicated-module
+            // packet additionally leaves a state digest in every other
+            // shard's open burst, anchored at that burst's current packet
+            // count so replay interleaves in submission order. Every burst
+            // leaves here accounted: delivered, shed or lost
+            // ([`push_inline`]).
+            let mut failed_shard = None;
+            let mut seal = |shard: usize, open: &mut Burst, digests: &mut Vec<StateDigest>| {
+                let burst = ShardBurst {
+                    packets: std::mem::replace(open, spare(&mut self.spares, burst_size)),
+                    digests: std::mem::take(digests),
+                };
+                if !push_inline(
+                    &mut workers[shard],
+                    burst,
+                    wait,
+                    &mut self.shed_inline,
+                    &mut self.lost_folded,
+                ) {
+                    failed_shard = Some(shard);
+                }
+            };
+            let shards = self.options.shards;
             for mut packet in packets {
                 packet.timestamp_ns = ingress_ns;
                 let shard = self.steerer.shard_for(&packet);
                 if let Some(spec) = self.steerer.digest_spec_for(&packet) {
-                    for other in 0..workers.len() {
+                    for other in 0..shards {
                         if other == shard {
                             continue;
                         }
@@ -2020,98 +2126,29 @@ impl ShardedRuntime {
                     }
                 }
                 self.scatter[shard].push(packet);
-            }
-            // Chunk each shard's scratch into order-preserving bursts (pure
-            // moves, still no ring traffic) …
-            let burst_size = self.options.burst_size;
-            let digest_scatter = &mut self.digest_scatter;
-            let mut queues: Vec<Vec<ShardBurst>> = self
-                .scatter
-                .iter_mut()
-                .take(workers.len())
-                .enumerate()
-                .map(|(shard, scratch)| {
-                    let mut bursts: Vec<ShardBurst> = Vec::new();
-                    let mut pending = std::mem::take(scratch);
-                    while pending.len() > burst_size {
-                        let rest = pending.split_off(burst_size);
-                        bursts.push(ShardBurst {
-                            packets: pending,
-                            digests: Vec::new(),
-                        });
-                        pending = rest;
-                    }
-                    if !pending.is_empty() {
-                        bursts.push(ShardBurst {
-                            packets: pending,
-                            digests: Vec::new(),
-                        });
-                    }
-                    // Re-anchor the shard's digests from submission-absolute
-                    // positions to burst-relative ones: a digest anchored at
-                    // absolute position `p` rides burst `p / burst_size`
-                    // (clamped to the last burst), before that burst's
-                    // `p % burst_size`-th packet. A shard owed only digests
-                    // gets a packetless burst carrying them.
-                    let digests = std::mem::take(&mut digest_scatter[shard]);
-                    if !digests.is_empty() {
-                        if bursts.is_empty() {
-                            bursts.push(ShardBurst::default());
-                        }
-                        let last = bursts.len() - 1;
-                        for mut digest in digests {
-                            let p = digest.before() as usize;
-                            let k = (p / burst_size).min(last);
-                            let rel = (p - k * burst_size).min(bursts[k].packets.len());
-                            digest.set_before(rel as u32);
-                            bursts[k].digests.push(digest);
-                        }
-                    }
-                    bursts
-                })
-                .collect();
-            // … then push them round-robin across the shards, one burst per
-            // shard per round, so a backpressuring shard never starves the
-            // others of work that is already steered and ready. Every burst
-            // leaves this loop accounted: delivered, shed (ring full past
-            // the bounded wait — the overloaded tenant's own drop), or lost
-            // (ring closed: the worker is gone).
-            let mut failed_shard = None;
-            let mut cursors = vec![0usize; workers.len()];
-            loop {
-                let mut progressed = false;
-                for (index, worker) in workers.iter_mut().enumerate() {
-                    let Some(burst) = queues[index].get_mut(cursors[index]) else {
-                        continue;
-                    };
-                    let burst = std::mem::take(burst);
-                    cursors[index] += 1;
-                    progressed = true;
-                    let input = worker.input.as_ref().expect("inline worker has a producer");
-                    match input.push_deadline(burst, wait) {
-                        Ok(()) => worker.submitted_bursts += 1,
-                        Err(PushError::Timeout(burst)) => {
-                            // Shed bursts drop their digests with their
-                            // packets — under overload the replicas may
-                            // diverge until rebuilt, the documented
-                            // degraded regime.
-                            for packet in &burst.packets {
-                                *self
-                                    .shed_inline
-                                    .entry(crate::shard::packet_tenant(packet))
-                                    .or_insert(0) += 1;
-                            }
-                        }
-                        Err(PushError::Closed(burst)) => {
-                            self.lost_folded += burst.packets.len() as u64;
-                            failed_shard = Some(index);
-                        }
-                    }
-                }
-                if !progressed {
-                    break;
+                if self.scatter[shard].len() >= burst_size {
+                    seal(
+                        shard,
+                        &mut self.scatter[shard],
+                        &mut self.digest_scatter[shard],
+                    );
                 }
             }
+            // Seal the partial bursts so every submitted packet is in
+            // flight; a shard owed only digests gets a packetless burst
+            // carrying them.
+            for shard in 0..shards {
+                if !self.scatter[shard].is_empty() || !self.digest_scatter[shard].is_empty() {
+                    seal(
+                        shard,
+                        &mut self.scatter[shard],
+                        &mut self.digest_scatter[shard],
+                    );
+                }
+            }
+            // Only now, with the new bursts on their way, take back what
+            // the shards have finished with.
+            reclaim(workers, &mut self.spares, &self.options);
             if let Some(shard) = failed_shard {
                 return Err(RuntimeError::ShardDown { shard });
             }
@@ -2122,7 +2159,8 @@ impl ShardedRuntime {
         // sheds the chunk per tenant; a closed one counts it lost). Chunk
         // scratch reuses the scatter buffers (one per dispatcher — the
         // buffers are sized dispatchers × shards, so the first `dispatchers`
-        // entries are free for this).
+        // entries are free for this), each replaced by a spare vector when
+        // its chunk leaves.
         let count = dispatchers.len();
         let mut failed = None;
         let shed_inline = &mut self.shed_inline;
@@ -2163,8 +2201,11 @@ impl ShardedRuntime {
                 },
             };
             self.scatter[target].push(packet);
-            if self.scatter[target].len() >= self.options.burst_size {
-                let chunk = std::mem::take(&mut self.scatter[target]);
+            if self.scatter[target].len() >= burst_size {
+                let chunk = std::mem::replace(
+                    &mut self.scatter[target],
+                    spare(&mut self.spares, burst_size),
+                );
                 if let Some(index) = push_chunk(&mut dispatchers[target], target, chunk) {
                     failed = Some(index);
                 }
@@ -2183,7 +2224,10 @@ impl ShardedRuntime {
                 continue;
             }
             cursor_flushed |= index == self.spray_cursor;
-            let chunk = std::mem::take(&mut self.scatter[index]);
+            let chunk = std::mem::replace(
+                &mut self.scatter[index],
+                spare(&mut self.spares, burst_size),
+            );
             if let Some(failed_index) = push_chunk(dispatcher, index, chunk) {
                 failed = Some(failed_index);
             }
@@ -2191,6 +2235,9 @@ impl ShardedRuntime {
         if cursor_flushed && self.options.spray == DispatchSpray::RoundRobin {
             self.spray_cursor = (self.spray_cursor + 1) % count;
         }
+        // The shards send spent bursts home whichever thread steered them:
+        // the frames were allocated on this one.
+        reclaim(workers, &mut self.spares, &self.options);
         if let Some(dispatcher) = failed {
             // Blame the shard whose ring failed the dispatcher if one is on
             // record; otherwise the dispatcher itself is gone. Either way the
@@ -2223,6 +2270,9 @@ impl ShardedRuntime {
     /// [`RuntimeError::DispatcherDown`] from the next
     /// [`submit`](Self::submit) or control-plane call rather than as a hang
     /// here.
+    ///
+    /// Spent bursts that have come home by then are reclaimed on the way out
+    /// (their frames freed on this thread).
     pub fn flush(&mut self) {
         self.flush_until(None);
     }
@@ -2233,6 +2283,16 @@ impl ShardedRuntime {
     /// synchronous control op into [`RuntimeError::EpochTimeout`] instead of
     /// an unbounded hang.
     fn flush_until(&mut self, deadline: Option<Instant>) -> bool {
+        let quiesced = self.flush_barrier(deadline);
+        if let Backend::Threaded { workers, .. } = &self.backend {
+            reclaim(workers, &mut self.spares, &self.options);
+        }
+        quiesced
+    }
+
+    /// The barrier behind [`flush_until`](Self::flush_until): waits, and
+    /// changes nothing.
+    fn flush_barrier(&self, deadline: Option<Instant>) -> bool {
         // One condvar wait honouring the optional deadline; returns false
         // once the deadline has passed.
         fn wait_step<'a>(
@@ -2647,10 +2707,14 @@ impl ShardedRuntime {
                 if inline {
                     worker.input = Some(producers.remove(0));
                 }
-                let old = std::mem::replace(&mut workers[shard], worker);
-                if let Some(handle) = old.handle {
+                let mut old = std::mem::replace(&mut workers[shard], worker);
+                if let Some(handle) = old.handle.take() {
                     let _ = handle.join();
                 }
+                // Bursts the casualty finished before it died were already
+                // counted as processed; take them home before its return
+                // ring goes away with the old handle.
+                reclaim(std::slice::from_ref(&old), &mut self.spares, &self.options);
                 inline
             };
             if !inline {
@@ -3240,8 +3304,8 @@ impl ShardedRuntime {
 
     /// Shuts the runtime down: closes the dispatcher input rings, joins the
     /// dispatchers (each flushes its scratch and closes its shard rings),
-    /// lets shards drain what is queued, and joins the worker threads.
-    /// Called automatically on drop.
+    /// lets shards drain what is queued, joins the worker threads, and
+    /// empties their return rings. Called automatically on drop.
     pub fn shutdown(&mut self) {
         if let Backend::Threaded {
             workers,
@@ -3279,6 +3343,8 @@ impl ShardedRuntime {
                     let _ = handle.join();
                 }
             }
+            // The shards are gone; what they sent home last is freed here.
+            reclaim(workers, &mut self.spares, &self.options);
         }
     }
 }

@@ -1,11 +1,13 @@
 //! Worker threads of the dispatch plane: shards and dispatchers.
 //!
 //! A **shard** is deliberately boring — that is the point of the design. It
-//! owns a full [`MenshenPipeline`] replica and loops over exactly three
+//! owns a full [`MenshenPipeline`] replica and loops over exactly four
 //! steps: apply pending control-plane epochs (in published order), pop the
 //! next burst from one of its SPSC input rings (one ring per dispatcher,
 //! drained round-robin, all sharing one [`Parker`] so any producer can wake
-//! an idle shard), process it with the allocation-free batched data path.
+//! an idle shard), process it with the allocation-free batched data path,
+//! and send the spent frames home over its return ring so the thread that
+//! allocated them is the one that frees them.
 //! All cross-thread coordination happens at burst granularity through the
 //! [`Shared`] state: the epoch log on the way in, the progress board
 //! (applied epoch, bursts completed, traffic tallies, on-demand snapshots)
@@ -44,8 +46,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// What travels through a *dispatcher's* input ring: one chunk of raw
-/// ingress packets, not yet steered.
+/// A plain vector of packets on the move: one chunk of raw ingress packets
+/// through a *dispatcher's* input ring (not yet steered), or one spent burst
+/// through a shard's *return* ring, on its way back to the thread that
+/// allocated its frames.
 pub(crate) type Burst = Vec<Packet>;
 
 /// What travels through a *shard's* input ring: one burst of steered
@@ -53,10 +57,18 @@ pub(crate) type Burst = Vec<Packet>;
 /// steered elsewhere. Digests are bookkeeping, not traffic — only
 /// `packets` feeds the dispatch tallies, the flush barrier and the
 /// conservation audit.
+///
+/// Frame lifecycle: the caller of `submit_owned` allocates the frames, the
+/// dispatch plane moves them into `packets`, the input ring carries the
+/// burst to the shard, and once the shard is done with it `packets` rides
+/// the shard's return ring back to the caller's thread, which frees the
+/// frames and keeps the emptied vector for a later burst. The shard only
+/// ever *borrows* the frames; what it allocates itself (the rewritten clone
+/// inside a forwarding verdict) it also frees itself.
 #[derive(Debug, Default)]
 pub(crate) struct ShardBurst {
     /// Steered packets, processed by the shard's pipeline replica.
-    pub packets: Vec<Packet>,
+    pub packets: Burst,
     /// State digests of replicated-module packets owned by *other* shards,
     /// interleaved with `packets` via [`StateDigest::before`]: a digest
     /// replays after `packets[..before]` and before `packets[before..]`.
@@ -111,7 +123,10 @@ pub(crate) fn process_shard_burst(
 /// and before its progress-board update — so by the time a flush barrier
 /// returns, every processed packet has been handed to the sink.
 /// Implementations must be cheap and must never panic (a panicking sink
-/// takes its worker shard down).
+/// takes its worker shard down). Both references are valid for the call
+/// only: the ingress packet goes home to the submitting thread right after
+/// the burst, and the verdict's packet is overwritten by the next burst —
+/// a sink that needs the bytes later copies them.
 ///
 /// Install one with [`crate::ShardedRuntime::set_egress`]; workers adopt a
 /// newly staged sink at their next burst boundary.
@@ -733,11 +748,19 @@ impl Drop for ShardExitGuard {
 }
 
 /// The shard thread body: apply pending epochs, pop a burst from one of the
-/// input rings (round-robin over dispatchers), process, tally — until every
-/// ring closes or a `Retire` epoch addresses this shard. With all rings
-/// empty the shard spins briefly, then parks on the shared parker;
-/// dispatchers, the inline submitter, and the control plane all wake it
-/// through that parker.
+/// input rings (round-robin over dispatchers), process, tally, send the
+/// spent frames home — until every ring closes or a `Retire` epoch
+/// addresses this shard. With all rings empty the shard spins briefly, then
+/// parks on the shared parker; dispatchers, the inline submitter, and the
+/// control plane all wake it through that parker.
+///
+/// `home` is the shard's return ring. A spent burst's packets go back
+/// through it to the thread that submitted (and allocated) them, so the
+/// shard never frees a frame it did not allocate; the push never blocks —
+/// when the ring is full or its consumer is gone the burst is dropped here
+/// instead, so a caller that stopped calling the runtime cannot wedge a
+/// shard. Verdict packets, which this thread cloned, stay here and are
+/// freed when the verdict buffer is reused for the next burst.
 ///
 /// `initial_epoch` is the epoch the shard's pipeline already embodies: 0 for
 /// construction-time shards, and the current epoch for shards stood up by a
@@ -746,6 +769,7 @@ pub(crate) fn run_worker(
     shard_index: usize,
     mut pipeline: MenshenPipeline,
     inputs: Vec<Consumer<ShardBurst>>,
+    home: Producer<Burst>,
     parker: Arc<Parker>,
     shared: Arc<Shared>,
     initial_epoch: u64,
@@ -892,6 +916,9 @@ pub(crate) fn run_worker(
         slot.heartbeat_ns = shared.now_ns();
         drop(progress);
         shared.cv.notify_all();
+        // Frames go home. On a full or closed ring `try_push` hands the
+        // vector straight back and it is dropped here.
+        let _ = home.try_push(burst.packets);
     }
     // Epochs published after the final burst must still be acknowledged so a
     // concurrent `wait_for_epoch` cannot hang across shutdown.

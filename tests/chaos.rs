@@ -779,3 +779,118 @@ fn control_disconnects_mid_exchange_leave_the_service_serving() {
     );
     assert_eq!(report.audit.submitted, injected as u64);
 }
+
+// ---------------------------------------------------------------------------
+// The return path: spent bursts ride a per-shard ring back to the submitting
+// thread. It is a convenience for the allocator, never a dependency of the
+// plane — it may overflow, go unread or die with its worker, and the plane
+// neither wedges nor loses count.
+// ---------------------------------------------------------------------------
+
+/// One submission far larger than every ring: the return rings overflow
+/// while the caller is still pushing (it only reclaims once it has pushed
+/// everything), the shards fall back to dropping spent bursts themselves,
+/// and nothing is shed or lost.
+#[test]
+fn a_submission_that_overflows_the_return_rings_completes_in_full() {
+    const PACKETS: usize = 32_768;
+    let mut runtime = ShardedRuntime::from_pipeline(
+        &template(),
+        RuntimeOptions::threaded(2).with_steering(SteeringMode::FiveTuple),
+    );
+    runtime
+        .submit_owned(flow_workload(TENANTS, RULES, PACKETS))
+        .unwrap();
+    runtime.flush();
+    let audit = runtime.conservation_audit().unwrap();
+    assert_conserved(&audit);
+    assert_eq!(audit.submitted, PACKETS as u64);
+    assert_eq!(audit.processed, PACKETS as u64, "{audit:?}");
+    assert_eq!(audit.shed, 0, "{audit:?}");
+    assert_eq!(audit.lost_to_failure, 0, "{audit:?}");
+    assert!(
+        runtime.shard_stats().iter().all(|s| s.packets > 0),
+        "both shards carried traffic"
+    );
+}
+
+/// A caller that submits once and then never calls the runtime again: the
+/// return rings fill and stay full, and the shards must still finish the
+/// backlog and exit when asked — a shard never waits on its return ring.
+#[test]
+fn a_caller_that_never_comes_back_cannot_wedge_shutdown() {
+    const PACKETS: usize = 32_768;
+    let mut runtime = ShardedRuntime::from_pipeline(
+        &template(),
+        RuntimeOptions::threaded(2).with_steering(SteeringMode::FiveTuple),
+    );
+    runtime
+        .submit_owned(flow_workload(TENANTS, RULES, PACKETS))
+        .unwrap();
+    let start = Instant::now();
+    runtime.shutdown();
+    assert!(
+        start.elapsed() < Duration::from_secs(10),
+        "shutdown joined the shards in {:?}",
+        start.elapsed()
+    );
+    assert_eq!(
+        runtime.total_stats().packets,
+        PACKETS as u64,
+        "the shards drained everything that was queued before exiting"
+    );
+}
+
+/// A worker dies with spent bursts still sitting in its return ring. The
+/// supervisor takes them home before the dead worker's handle (and with it
+/// the ring) is dropped, the respawned worker gets a fresh ring, and the
+/// books balance to the packet.
+#[test]
+fn a_worker_killed_with_a_loaded_return_ring_is_respawned_and_the_books_balance() {
+    let victim = tenant_shard(1, 2);
+    let mut runtime = ShardedRuntime::from_pipeline(
+        &template(),
+        RuntimeOptions::threaded(2)
+            .with_submit_wait(Duration::from_millis(200))
+            .with_wedge_threshold(Duration::from_secs(30)),
+    );
+    // The victim sleeps through the submission — so the submitter's own
+    // reclaim finds nothing — then finishes bursts 0..=5, sending each one
+    // home, and dies on burst 6 with burst 7 still queued.
+    runtime.arm_faults(
+        FaultPlan::new()
+            .with_worker_stall(victim, 0, Duration::from_millis(100))
+            .with_worker_panic(victim, 6),
+    );
+    runtime.submit_owned(tenant_frames(1, 8 * 32)).unwrap();
+
+    let mut reports = Vec::new();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while reports.is_empty() {
+        assert!(Instant::now() < deadline, "the corpse never surfaced");
+        reports.extend(runtime.supervise());
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    runtime.disarm_faults();
+    assert_eq!(reports.len(), 1, "{reports:?}");
+    assert_eq!(reports[0].shard, victim);
+    assert_eq!(
+        reports[0].lost_packets, 64,
+        "the burst in flight plus the one still queued: {reports:?}"
+    );
+
+    // The replacement carries traffic and sends it home over its own ring.
+    for _ in 0..4 {
+        runtime.submit_owned(tenant_frames(1, 256)).unwrap();
+        runtime.flush();
+    }
+    assert!(runtime.supervise().is_empty(), "the plane is quiet");
+    let audit = runtime.conservation_audit().unwrap();
+    assert_conserved(&audit);
+    assert_eq!(audit.submitted, 8 * 32 + 4 * 256);
+    assert_eq!(audit.lost_to_failure, 64, "{audit:?}");
+    assert_eq!(audit.processed, 6 * 32 + 4 * 256, "{audit:?}");
+    let start = Instant::now();
+    runtime.shutdown();
+    assert!(start.elapsed() < Duration::from_secs(10));
+}

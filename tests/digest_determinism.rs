@@ -192,3 +192,259 @@ fn digest_streams_are_invariant_in_the_dispatcher_count() {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// The threaded inline dispatcher builds bursts while it steers: one open
+// burst per shard, sealed and pushed at `burst_size` packets, digests
+// anchored at the open burst's current length. How a trace is cut into
+// submissions moves every burst boundary — and must move nothing else.
+// ---------------------------------------------------------------------------
+
+use menshen_runtime::{EgressSink, Steerer};
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
+
+/// One transmit: the packet's sequence number and its verdict — egress
+/// ports, rewritten bytes and, for a storing tenant, the value its per-tenant
+/// counter held when this packet loaded it (PHV container h4(7)); or the
+/// drop reason. A replica's counter advances on digests too, so that value
+/// is the packet's position in its module's *global* order: a digest
+/// replayed one packet early or late shows up here even when the final
+/// words would not tell.
+type LogEntry = (u32, Option<(Vec<u16>, Vec<u8>, u64)>, String);
+
+/// What one shard thread handed to the sink, in order.
+type ShardLog = Vec<LogEntry>;
+
+/// Tenants 1 and 2 store (and so replicate); the rest do not.
+const STORING_TENANTS: [u16; 2] = [1, 2];
+
+/// Records every transmit under the name of the thread that made it — one
+/// log per `menshen-shard-*` thread.
+#[derive(Default)]
+struct PerShardLog(Mutex<BTreeMap<String, ShardLog>>);
+
+fn sequence_of(packet: &Packet) -> u32 {
+    let payload = packet.transport_payload().expect("a UDP payload");
+    u32::from_be_bytes(payload[..4].try_into().expect("four bytes"))
+}
+
+fn log_entry(packet: &Packet, verdict: &Verdict) -> LogEntry {
+    match verdict {
+        Verdict::Forwarded {
+            packet: out,
+            ports,
+            phv,
+            module_id,
+        } => {
+            // A mergeable tenant's counter is a per-shard partial sum, so
+            // only the replicated ones are comparable to the lone pipeline.
+            let position = if STORING_TENANTS.contains(module_id) {
+                phv.get(C::h4(7))
+            } else {
+                0
+            };
+            (
+                sequence_of(packet),
+                Some((ports.clone(), out.bytes().to_vec(), position)),
+                String::new(),
+            )
+        }
+        Verdict::Dropped { reason, .. } => (sequence_of(packet), None, format!("{reason:?}")),
+    }
+}
+
+impl EgressSink for PerShardLog {
+    fn transmit(&self, packet: &Packet, verdict: &Verdict) {
+        let thread = std::thread::current();
+        let shard = thread.name().expect("shard threads are named").to_owned();
+        self.0
+            .lock()
+            .expect("log lock")
+            .entry(shard)
+            .or_default()
+            .push(log_entry(packet, verdict));
+    }
+}
+
+/// A packet of `module` carrying `sequence`, with a source port that lets
+/// the caller pick the shard: mostly flow-rule hits, some misses.
+fn sequenced_packet(rng: &mut StdRng, module: u16, sequence: u32) -> Packet {
+    let dst = if rng.gen_bool(0.8) {
+        let ip = flow_dst_ip(module, rng.gen_range(0..FLOWS_PER_TENANT));
+        (ip as u32).to_be_bytes()
+    } else {
+        [10, 9, 9, rng.gen_range(1..250u8)]
+    };
+    let mut payload = [0u8; 8];
+    payload[..4].copy_from_slice(&sequence.to_be_bytes());
+    PacketBuilder::udp_data(
+        module,
+        [10, 0, 0, rng.gen_range(1..250u8)],
+        dst,
+        rng.gen_range(1024..65000u16),
+        80,
+        &payload,
+    )
+}
+
+/// Draws packets of `module` until one steers to `shard`.
+fn packet_for_shard(
+    rng: &mut StdRng,
+    steerer: &Steerer,
+    module: u16,
+    shard: usize,
+    sequence: u32,
+) -> Packet {
+    loop {
+        let packet = sequenced_packet(rng, module, sequence);
+        if steerer.shard_for(&packet) == shard {
+            return packet;
+        }
+    }
+}
+
+/// `sharded_scr`-like traffic — tenants 1 and 2 store (Replicated), 3 and 4
+/// do not — through threaded shards with inline dispatch, once as a single
+/// submission and once in 256-packet submissions. Per shard, the verdicts
+/// must come out in the same order with the same content as a lone
+/// pipeline's; the digest totals must agree; and every replica must end
+/// with the lone pipeline's stateful words.
+///
+/// The trace ends in the two cases where an anchor is easiest to get wrong,
+/// placed so that both cuttings meet them with shard 0's open burst empty:
+/// exactly one burst of packets for shard 0 (sealed the moment it fills),
+/// then storing-tenant packets for shard 1 only — so their digests are
+/// anchored *on* the burst boundary, and shard 0 (and shard 2) ends the
+/// submission owed digests and no packets.
+#[test]
+fn burst_boundaries_move_with_the_submission_size_and_nothing_else_does() {
+    const PLAIN: u16 = 3;
+    const CHUNK: usize = 256;
+    for shards in [2usize, 3] {
+        let seed = 0xD16_B0B0 + shards as u64;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let params = TABLE5.with_table_depth(64);
+        let burst_size = RuntimeOptions::threaded(shards).burst_size;
+        let steerer = Steerer::new(SteeringMode::FiveTuple, shards);
+
+        let mut template = MenshenPipeline::new(params);
+        for module in STORING_TENANTS {
+            template
+                .load_module(&storing_tenant(module, 1000 + module))
+                .expect("load");
+        }
+        for module in STORING_TENANTS.len() as u16 + 1..=TENANTS {
+            let config = flow_rule_tenant_with_port(module, FLOWS_PER_TENANT, 1000 + module);
+            template.load_module(&config).expect("load");
+        }
+
+        // A random body, padded so that shard 0 has received whole bursts
+        // only and the total is a whole number of chunks …
+        let mut trace: Vec<Packet> = Vec::new();
+        for _ in 0..3000 {
+            let module = rng.gen_range(1..=TENANTS);
+            trace.push(sequenced_packet(&mut rng, module, trace.len() as u32));
+        }
+        let to_shard_0 = trace.iter().filter(|p| steerer.shard_for(p) == 0).count();
+        for _ in 0..(burst_size - to_shard_0 % burst_size) % burst_size {
+            let sequence = trace.len() as u32;
+            trace.push(packet_for_shard(&mut rng, &steerer, PLAIN, 0, sequence));
+        }
+        while !trace.len().is_multiple_of(CHUNK) {
+            let sequence = trace.len() as u32;
+            trace.push(packet_for_shard(&mut rng, &steerer, PLAIN, 1, sequence));
+        }
+        // … then the tail: one exact burst for shard 0, then storing
+        // traffic for shard 1 alone.
+        for _ in 0..burst_size {
+            let sequence = trace.len() as u32;
+            trace.push(packet_for_shard(&mut rng, &steerer, PLAIN, 0, sequence));
+        }
+        for index in 0..8 {
+            let sequence = trace.len() as u32;
+            let module = STORING_TENANTS[index % 2];
+            trace.push(packet_for_shard(&mut rng, &steerer, module, 1, sequence));
+        }
+        let storing_packets = trace
+            .iter()
+            .filter(|p| STORING_TENANTS.contains(&p.vlan_id().expect("tagged").value()))
+            .count() as u64;
+
+        // The lone pipeline: verdict per sequence number, final words.
+        let mut single = template.config_replica();
+        let expected: Vec<_> = single
+            .process_batch(trace.clone())
+            .iter()
+            .zip(&trace)
+            .map(|(verdict, packet)| log_entry(packet, verdict))
+            .collect();
+        let modules: Vec<ModuleId> = STORING_TENANTS.iter().map(|m| ModuleId::new(*m)).collect();
+        let words: Vec<Vec<Vec<u64>>> = modules
+            .iter()
+            .map(|module| single.export_module_state(*module).expect("loaded").stages)
+            .collect();
+
+        let mut runs = Vec::new();
+        for chunk in [trace.len(), CHUNK] {
+            let mut runtime = ShardedRuntime::from_pipeline(
+                &template,
+                RuntimeOptions::threaded(shards).with_steering(SteeringMode::FiveTuple),
+            );
+            assert_eq!(runtime.replicated_modules(), STORING_TENANTS.to_vec());
+            let log = Arc::new(PerShardLog::default());
+            runtime.set_egress(Some(Arc::clone(&log) as Arc<dyn EgressSink>));
+            for submission in trace.chunks(chunk) {
+                runtime.submit_owned(submission.to_vec()).expect("submit");
+            }
+            runtime.flush();
+            for shard in 0..shards {
+                let states = runtime.export_shard_state(shard, &modules).expect("export");
+                let got: Vec<Vec<Vec<u64>>> = states.into_iter().map(|s| s.stages).collect();
+                assert_eq!(
+                    got, words,
+                    "seed {seed}, {shards} shards, {chunk}-packet submissions: \
+                     replica {shard} diverged from the lone pipeline"
+                );
+            }
+            let audit = runtime.conservation_audit().expect("audit");
+            assert!(audit.is_balanced(), "{audit:?}");
+            assert_eq!(audit.processed, trace.len() as u64, "{audit:?}");
+            let totals = runtime.digest_totals();
+            assert_eq!(
+                totals.0,
+                storing_packets * (shards as u64 - 1),
+                "one digest per storing packet per other shard"
+            );
+            runtime.shutdown();
+            let log = std::mem::take(&mut *log.0.lock().expect("log lock"));
+            assert_eq!(
+                log.len(),
+                shards,
+                "every shard transmitted: {:?}",
+                log.keys()
+            );
+            for (shard, entries) in &log {
+                let index: usize = shard
+                    .strip_prefix("menshen-shard-")
+                    .and_then(|n| n.parse().ok())
+                    .expect("a shard thread");
+                let want: Vec<_> = expected
+                    .iter()
+                    .filter(|(sequence, ..)| steerer.shard_for(&trace[*sequence as usize]) == index)
+                    .cloned()
+                    .collect();
+                assert_eq!(
+                    entries, &want,
+                    "seed {seed}, {shards} shards, {chunk}-packet submissions: \
+                     {shard} is out of order or disagrees with the lone pipeline"
+                );
+            }
+            runs.push((log, totals));
+        }
+        assert_eq!(
+            runs[0], runs[1],
+            "seed {seed}, {shards} shards: cutting the trace differently changed the outcome"
+        );
+    }
+}
