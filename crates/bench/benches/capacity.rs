@@ -2,14 +2,13 @@
 //! stepped up until the p99 knees, committed as the `capacity_knee` section
 //! of `BENCH_throughput.json`.
 //!
-//! Uses the same 8-tenant flow-rule workload as the hot-path, shard-scaling
-//! and latency benches (so the numbers compose), synthesised as a uniform
+//! Uses the shared 8-tenant flow-rule workload, synthesised as a uniform
 //! trace and replayed **rate-rescaled** through the real threaded
 //! `ShardedRuntime`: the capture's relative spacing is kept but linearly
 //! rescaled to each offered rate, and the next offered rate is chosen from
 //! the previous measurement (geometric step until the knee) — the
-//! closed-loop methodology that turns PR 3's open-loop latency series into
-//! a capacity figure.
+//! closed-loop methodology that turns an open-loop replay into a capacity
+//! figure.
 
 use menshen_bench::workloads::flow_rule_tenant;
 use menshen_core::MenshenPipeline;

@@ -231,9 +231,9 @@ fn main() {
         ),
         ("per_round", Json::Arr(round_rows)),
     ]);
-    menshen_bench::update_baseline("fault_recovery", &section);
-    println!(
-        "\nmerged section \"fault_recovery\" into {}",
-        menshen_bench::baseline_path().display()
-    );
+    // Smoke runs never overwrite the committed baseline.
+    if !fast {
+        menshen_bench::update_baseline("fault_recovery", &section);
+    }
+    menshen_bench::write_json("bench_fault_recovery", &section);
 }

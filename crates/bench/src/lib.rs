@@ -13,7 +13,6 @@ use menshen_json::{Json, ToJson};
 use std::fs;
 use std::path::PathBuf;
 
-pub mod harness;
 pub mod service_proc;
 pub mod workloads;
 
@@ -51,10 +50,10 @@ pub fn baseline_path() -> PathBuf {
 
 /// Merge-updates one top-level section of the committed
 /// `BENCH_throughput.json` baseline: the existing document is parsed, `key`
-/// is inserted or replaced, and everything else is preserved — so the
-/// hot-path bench and the shard-scaling bench can each own a section without
-/// clobbering the other. A pre-sectioned legacy document (recognised by its
-/// top-level `"benchmark"` name field) is wrapped under that name first.
+/// is inserted or replaced, and everything else is preserved — so each bench
+/// can own a section without clobbering the others. A pre-sectioned legacy
+/// document (recognised by its top-level `"benchmark"` name field) is wrapped
+/// under that name first.
 ///
 /// Fails **loudly** (panics, so the bench binary exits non-zero and CI goes
 /// red) if the merge would drop any section that existed before — a bench
@@ -144,18 +143,10 @@ mod tests {
 
     #[test]
     fn match_scaling_merge_preserves_every_committed_section() {
-        // The exact shape the match_scaling bench exercises: merging its new
-        // section into a baseline already carrying every other bench's
-        // series must keep them all, whether the section is new or replaced.
-        const SECTIONS: &[&str] = &[
-            "hot_path_single_vs_batch",
-            "shard_scaling",
-            "latency_percentiles",
-            "rss_balance",
-            "dispatch_scaling",
-            "capacity_knee",
-            "reshard",
-        ];
+        // Merging a new section into a baseline already carrying every
+        // committed section must keep them all, whether the section is new
+        // or replaced.
+        const SECTIONS: &[&str] = &["capacity_knee", "reshard", "fault_recovery"];
         let existing = Json::Obj(
             SECTIONS
                 .iter()

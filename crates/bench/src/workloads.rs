@@ -1,9 +1,8 @@
 //! Shared benchmark workloads.
 //!
-//! The hot-path bench (`benches/batch.rs`) and the shard-scaling bench
-//! (`benches/sharding.rs`) measure the same multi-tenant flow-rule workload
-//! so their numbers compose: this module owns the tenant module shape and
-//! the packet stream both use.
+//! The multi-tenant flow-rule workload the benches and the integration
+//! tests share: this module owns the tenant module shape and the packet
+//! stream they use.
 
 use menshen_core::{MatchRule, ModuleConfig, ModuleId, StageModuleConfig};
 use menshen_packet::{Packet, PacketBuilder};

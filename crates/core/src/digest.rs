@@ -126,12 +126,6 @@ impl StateDigest {
         self.before
     }
 
-    /// Rewrites the interleave point (used when a pending stream is re-chunked
-    /// into ring-sized bursts).
-    pub fn set_before(&mut self, before: u32) {
-        self.before = before;
-    }
-
     /// The populated `(container code, value)` pairs.
     pub fn fields(&self) -> &[(u8, u64)] {
         &self.fields[..usize::from(self.len)]

@@ -2134,7 +2134,7 @@ mod tests {
         );
 
         // Digests for unknown or reconfiguring modules are ignored.
-        let mut stray = spec.extract(&packet_for(7, 2), 0);
+        let stray = spec.extract(&packet_for(7, 2), 0);
         replica.begin_reconfiguration(ModuleId::new(7)).unwrap();
         replica.apply_state_digest(&stray);
         replica.end_reconfiguration(ModuleId::new(7)).unwrap();
@@ -2143,9 +2143,8 @@ mod tests {
             Some(0x0a00_0002),
             "reconfiguring modules drop digests like they drop packets"
         );
-        stray.set_before(1);
         let mut empty = MenshenPipeline::new(TABLE5);
-        empty.apply_state_digest(&stray); // unknown module: no-op, no panic
+        empty.apply_state_digest(&spec.extract(&packet_for(7, 2), 1)); // unknown module: no-op, no panic
     }
 
     #[test]

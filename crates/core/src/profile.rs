@@ -18,9 +18,8 @@
 //! Everything is gated behind the `profiling` cargo feature. Without it,
 //! [`HotPathProfiler`] and [`PacketSample`] are zero-sized types whose
 //! methods are empty `#[inline(always)]` bodies — the hot path compiles to
-//! exactly what it was before. With the feature on, the measured overhead
-//! on the batch hot path is committed in the `obs_overhead` section of
-//! `BENCH_throughput.json` (sampling disabled vs 1-in-256).
+//! exactly what it was before. The overhead with the feature on is not
+//! measured anywhere yet.
 //!
 //! Early-dropped packets (no VLAN, unknown module, …) commit whatever
 //! phases they reached — partial samples are real cost attribution, not

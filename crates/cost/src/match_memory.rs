@@ -8,7 +8,8 @@
 //! for layouts whose footprint depends on the *rule distribution*. This
 //! module prices all three the same way — data-path bytes (what lookups can
 //! touch) vs control-plane bytes (install-time bookkeeping) per installed
-//! entry — so the `match_scaling` bench can report memory next to Mpps.
+//! entry. The measured data-path figure for the LPM trie is the
+//! repository benchmark's `rmt.lpm_bytes_per_rule` probe.
 
 use menshen_json::{Json, ToJson};
 use menshen_rmt::lpm::LpmTable;

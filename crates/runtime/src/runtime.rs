@@ -379,12 +379,6 @@ pub struct ConservationAudit {
     /// the second, independent set of books the audit balances against the
     /// tallies.
     pub ledger_total: u64,
-    /// True when the books cannot be certified exact. Recovery seals a dead
-    /// shard's rings before counting anything, so every in-flight push
-    /// resolves deterministically (residue or a counted `Closed` refusal)
-    /// and the flag stays false through any failure schedule; it is kept so
-    /// a future backend whose accounting *can* race has a way to say so.
-    pub lossy: bool,
 }
 
 impl ConservationAudit {
@@ -392,8 +386,7 @@ impl ConservationAudit {
     /// verdicts plus shed partition the submitted count (less what failure
     /// provably lost), and the per-tenant ledgers independently retell it.
     pub fn is_balanced(&self) -> bool {
-        !self.lossy
-            && self.in_flight == 0
+        self.in_flight == 0
             && self.forwarded + self.dropped == self.processed + self.shed
             && self.ledger_total == self.processed + self.shed
     }
@@ -663,10 +656,6 @@ pub struct ShardedRuntime {
     /// Packets ever accepted into the runtime — the conservation audit's
     /// ingress side of the ledger.
     submitted_packets: u64,
-    /// True once the books lost certainty (a recovery handshake timed out,
-    /// so a residue count may have raced a push): from then on the
-    /// conservation audit reports the imbalance but not a clean balance.
-    audit_lossy: bool,
     /// Packets shed per tenant on the *submitting* thread (inline dispatch
     /// to a full shard ring, or spray to a full dispatcher input ring).
     /// The dispatcher threads keep their own shed maps on the progress
@@ -818,7 +807,6 @@ impl ShardedRuntime {
             spray_cursor: 0,
             retired: RetiredTally::default(),
             submitted_packets: 0,
-            audit_lossy: false,
             shed_inline: BTreeMap::new(),
             lost_folded: 0,
             failures: 0,
@@ -2513,11 +2501,6 @@ impl ShardedRuntime {
     /// A wedged shard — stale heartbeat while its rings hold work — is
     /// routed around and left running in case it wakes, with a
     /// [`ControlEventKind::ShardWedged`] event; no state is touched.
-    ///
-    /// If a dispatcher never acknowledges the route-around within the
-    /// [`submit_wait`](RuntimeOptions::with_submit_wait) budget, recovery
-    /// proceeds anyway but the conservation audit is marked lossy — the
-    /// books are then best-effort rather than certified.
     pub fn supervise(&mut self) -> Vec<RecoveryReport> {
         if matches!(self.backend, Backend::Deterministic(_)) {
             return Vec::new();
@@ -3028,7 +3011,6 @@ impl ShardedRuntime {
                 .submitted_packets
                 .saturating_sub(total.packets + shed + lost_to_failure),
             ledger_total: ledger_total + shed,
-            lossy: self.audit_lossy,
         })
     }
 

@@ -14,8 +14,7 @@
 //! template), so the latency histograms are independent and a point can
 //! never inherit queue backlog from its predecessor.
 
-use crate::replay::ReplayPoint;
-use menshen_core::MenshenPipeline;
+use menshen_core::{MenshenPipeline, Percentiles};
 use menshen_packet::Packet;
 use menshen_runtime::{RuntimeOptions, ShardedRuntime, SteeringMode};
 use menshen_trace::replay::{replay_sharded, Pacing};
@@ -135,6 +134,20 @@ impl KneeDetector {
     }
 }
 
+/// One replay through a fresh threaded runtime: accounting, achieved rate
+/// and latency percentiles.
+#[derive(Debug, Clone)]
+pub struct ReplayPoint {
+    /// Packets offered.
+    pub submitted: u64,
+    /// True when the runtime's own tallies account for every packet.
+    pub all_packets_accounted: bool,
+    /// Replay wall-clock rate, Mpps.
+    pub achieved_mpps: f64,
+    /// Per-packet sojourn-latency percentiles, nanoseconds.
+    pub latency: Percentiles,
+}
+
 /// One offered-load point of the capacity sweep.
 #[derive(Debug, Clone)]
 pub struct CapacityPoint {
@@ -193,18 +206,10 @@ pub fn capacity_sweep(
             .expect("threaded replay accepts submissions");
         runtime.shutdown();
         let replay = ReplayPoint {
-            trace: String::new(),
-            shards,
             submitted: report.submitted,
-            forwarded: report.forwarded,
-            dropped: report.dropped,
             all_packets_accounted: report.all_packets_accounted(),
             achieved_mpps: report.achieved_pps / 1e6,
             latency: report.latency.percentiles(),
-            burst_latency: report.burst_latency.percentiles(),
-            skew: report.shard_skew(),
-            effective_shards: report.effective_shards(),
-            shard_packets: report.shard_packets,
         };
         // The closed loop: the next step (and whether there is one) depends
         // on what this point measured.

@@ -14,13 +14,6 @@
 //! * [`reconfig_experiment`] — the live-reconfiguration timeline of
 //!   Figure 10: three CALC tenants at a 5:3:2 rate split on a 10 Gbit/s link,
 //!   module 1 reconfigured 0.5 s into the run, the other two unaffected;
-//! * [`scaling`] — the multi-core shard-scaling sweep over the
-//!   `menshen-runtime` sharded runtime: measured per-shard and dispatcher
-//!   rates, a functional pass through the real threaded runtime, and the
-//!   cores-vs-Mpps aggregate series;
-//! * [`replay`] — the trace-replay experiment: uniform and heavy-tailed
-//!   traces (from `menshen-trace`) through the threaded runtime across
-//!   shard counts, reporting latency percentiles and RSS balance;
 //! * [`capacity`] — the closed-loop capacity sweep: rate-rescaled replay at
 //!   geometrically increasing offered rates until the p99 sojourn knees,
 //!   turning the latency series into a capacity figure;
@@ -34,26 +27,19 @@
 pub mod capacity;
 pub mod elasticity;
 pub mod reconfig_experiment;
-pub mod replay;
-pub mod scaling;
 pub mod service;
 pub mod throughput;
 pub mod traffic;
 
 pub use capacity::{
     capacity_sweep, CapacityPoint, CapacityReport, CapacitySweepConfig, KneeDetector, KneeSample,
-    KneeVerdict,
+    KneeVerdict, ReplayPoint,
 };
 pub use elasticity::{
     elasticity_experiment, ElasticityConfig, ElasticityReport, ElasticityStage,
     ElasticityTransition,
 };
 pub use reconfig_experiment::{ReconfigExperiment, ReconfigTimeline, TimelinePoint};
-pub use replay::{replay_sweep, ReplayPoint, ReplaySweepReport};
-pub use scaling::{
-    dispatch_scaling_sweep, shard_scaling_sweep, DispatchScalingPoint, DispatchScalingReport,
-    ShardScalingPoint, ShardScalingReport,
-};
 pub use service::{passthrough_template, run_loadgen, LoadgenConfig, LoadgenSummary};
 pub use throughput::{latency_sweep, throughput_sweep, LatencyPoint, ThroughputPoint};
 pub use traffic::{RateMix, RateMixError, SizeSweep, TrafficGenerator};

@@ -22,9 +22,8 @@
 //!   [`LatencyHistogram`].
 //!
 //! Heavy-tailed flow sizes are exactly what stresses RSS balance: a handful
-//! of elephant flows pin whole shards while mice scatter, which the
-//! `effective_shards` term of the scaling model — and now the committed
-//! latency percentiles — make visible.
+//! of elephant flows pin whole shards while mice scatter, which
+//! [`replay::ReplayReport::effective_shards`] makes visible.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

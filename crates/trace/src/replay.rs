@@ -81,7 +81,7 @@ impl ReplayReport {
     }
 
     /// Effective parallelism implied by the per-shard packet counts:
-    /// `total / max`, the same balance figure the scaling model uses.
+    /// `total / max`: how many shards the load is effectively spread over.
     pub fn effective_shards(&self) -> f64 {
         let max = self.shard_packets.iter().copied().max().unwrap_or(0);
         if max == 0 {
