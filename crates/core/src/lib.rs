@@ -63,8 +63,8 @@ pub mod telemetry;
 pub use digest::{DigestField, DigestSpec, StateDigest, DIGEST_MAX_FIELDS};
 pub use error::CoreError;
 pub use metrics::{
-    labels, validate_prometheus, Counter, HistogramHandle, Labels, MetricSample, MetricValue,
-    MetricsRegistry, MetricsSnapshot, TenantTelemetry, VerdictLedger,
+    labels, validate_prometheus, Counter, Labels, MetricSample, MetricValue, MetricsSnapshot,
+    TenantTelemetry, VerdictLedger,
 };
 pub use module::{
     ExecutionMode, LpmMatchRule, MatchRule, ModuleConfig, ModuleId, RangeMatchRule,

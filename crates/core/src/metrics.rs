@@ -1,12 +1,11 @@
-//! The metrics registry and snapshot: the observability plane's data model.
+//! The metrics snapshot: the observability plane's data model.
 //!
-//! Three layers, each usable on its own:
+//! Two layers. The live instruments they sample are plain values owned by
+//! their subsystem — [`Counter`] (lock-free monotonic, the I/O backends'
+//! tallies), [`Gauge`](crate::telemetry::Gauge) (lock-free level +
+//! high-watermark, the ring depths) and [`LatencyHistogram`]
+//! (single-writer, merged on snapshot):
 //!
-//! * **Live instruments** — [`Counter`] (lock-free monotonic),
-//!   [`Gauge`](crate::telemetry::Gauge) (lock-free level + high-watermark)
-//!   and [`LatencyHistogram`] (single-writer, merged on snapshot). A
-//!   [`MetricsRegistry`] hands out shared handles keyed by
-//!   `(name, labels)` so independent subsystems converge on one series.
 //! * **[`MetricsSnapshot`]** — a point-in-time, order-canonical set of
 //!   samples. Snapshots **merge** exactly (counters and gauge levels add,
 //!   gauge watermarks max, histograms add bucket counts), and merging is
@@ -30,18 +29,16 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::{Arc, Mutex};
 
 use menshen_json::Json;
 
 use crate::pipeline::{DropReason, Verdict};
-use crate::telemetry::{BaselineMismatch, Gauge, LatencyHistogram};
+use crate::telemetry::{BaselineMismatch, LatencyHistogram};
 
 /// A lock-free monotonically increasing counter.
 ///
 /// The hot paths touch it with relaxed atomics only — it is telemetry, not
-/// synchronisation. Cloned handles (via [`Arc`] from the registry) all feed
-/// the same series.
+/// synchronisation.
 #[derive(Debug, Default)]
 pub struct Counter {
     value: AtomicU64,
@@ -187,9 +184,7 @@ pub struct MetricSample {
 ///
 /// `merge` is exact, commutative and associative (see the merge rules on
 /// [`MetricValue`]), so snapshots taken per shard / per dispatcher fold in
-/// any order into the same aggregate — the property the runtime's
-/// `retired_tally()`-style aggregation depends on and the property tests
-/// pin down.
+/// any order into the same aggregate, which the property tests pin down.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     samples: Vec<MetricSample>,
@@ -575,113 +570,6 @@ fn parse_label_pairs(text: &str) -> Result<Vec<(String, String)>, String> {
     Ok(pairs)
 }
 
-/// A registered histogram handle: interior-mutable so many owners can
-/// record into one series. Locked per record — meant for control-plane and
-/// moderate-rate series; the packet hot path keeps its single-writer
-/// shard-local histograms and merges on snapshot instead.
-#[derive(Debug, Clone, Default)]
-pub struct HistogramHandle {
-    inner: Arc<Mutex<LatencyHistogram>>,
-}
-
-impl HistogramHandle {
-    /// Records one value.
-    pub fn record(&self, value: u64) {
-        self.inner.lock().expect("histogram poisoned").record(value);
-    }
-
-    /// A copy of the current histogram.
-    pub fn snapshot(&self) -> LatencyHistogram {
-        self.inner.lock().expect("histogram poisoned").clone()
-    }
-}
-
-/// The live-instrument registry: get-or-create shared handles keyed by
-/// `(name, labels)`, snapshot them all at once.
-///
-/// Registration takes a lock; the returned [`Arc`] handles are lock-free
-/// ([`Counter`], [`Gauge`]) or per-record locked ([`HistogramHandle`]), so
-/// the intended pattern is *register once at setup, hold the handle on the
-/// hot path*.
-#[derive(Debug, Default)]
-pub struct MetricsRegistry {
-    counters: Mutex<BTreeMap<(String, Labels), Arc<Counter>>>,
-    gauges: Mutex<BTreeMap<(String, Labels), Arc<Gauge>>>,
-    histograms: Mutex<BTreeMap<(String, Labels), HistogramHandle>>,
-}
-
-impl MetricsRegistry {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
-        MetricsRegistry::default()
-    }
-
-    /// Gets or creates the counter for `(name, labels)`.
-    ///
-    /// # Panics
-    /// On a Prometheus-illegal name or label key.
-    pub fn counter(&self, name: &str, label_set: Labels) -> Arc<Counter> {
-        assert!(valid_metric_name(name), "illegal metric name {name:?}");
-        assert!(label_set.iter().all(|(k, _)| valid_label_key(k)));
-        Arc::clone(
-            self.counters
-                .lock()
-                .expect("registry poisoned")
-                .entry((name.to_owned(), label_set))
-                .or_default(),
-        )
-    }
-
-    /// Gets or creates the gauge for `(name, labels)`.
-    ///
-    /// # Panics
-    /// On a Prometheus-illegal name or label key.
-    pub fn gauge(&self, name: &str, label_set: Labels) -> Arc<Gauge> {
-        assert!(valid_metric_name(name), "illegal metric name {name:?}");
-        assert!(label_set.iter().all(|(k, _)| valid_label_key(k)));
-        Arc::clone(
-            self.gauges
-                .lock()
-                .expect("registry poisoned")
-                .entry((name.to_owned(), label_set))
-                .or_default(),
-        )
-    }
-
-    /// Gets or creates the histogram for `(name, labels)`.
-    ///
-    /// # Panics
-    /// On a Prometheus-illegal name or label key.
-    pub fn histogram(&self, name: &str, label_set: Labels) -> HistogramHandle {
-        assert!(valid_metric_name(name), "illegal metric name {name:?}");
-        assert!(label_set.iter().all(|(k, _)| valid_label_key(k)));
-        self.histograms
-            .lock()
-            .expect("registry poisoned")
-            .entry((name.to_owned(), label_set))
-            .or_default()
-            .clone()
-    }
-
-    /// Samples every registered instrument into one snapshot.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut out = MetricsSnapshot::new();
-        for ((name, label_set), counter) in self.counters.lock().expect("registry poisoned").iter()
-        {
-            out.push_counter(name, label_set.clone(), counter.get());
-        }
-        for ((name, label_set), gauge) in self.gauges.lock().expect("registry poisoned").iter() {
-            out.push_gauge(name, label_set.clone(), gauge.get(), gauge.high_watermark());
-        }
-        for ((name, label_set), histogram) in
-            self.histograms.lock().expect("registry poisoned").iter()
-        {
-            out.push_histogram(name, label_set.clone(), histogram.snapshot());
-        }
-        out
-    }
-}
-
 /// Attributes every packet a tenant offered to exactly one outcome:
 /// forwarded, one of the five [`DropReason`]s, or a backpressure shed. The
 /// conservation audit cross-checks `total()` against the runtime's ingress
@@ -1027,40 +915,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn registry_hands_out_shared_handles_and_snapshots() {
-        let registry = MetricsRegistry::new();
-        let c1 = registry.counter("pkts_total", labels([("tenant", "1")]));
-        let c2 = registry.counter("pkts_total", labels([("tenant", "1")]));
-        c1.add(5);
-        c2.inc();
-        let gauge = registry.gauge("depth", labels([("shard", "0")]));
-        gauge.add(4);
-        gauge.sub(1);
-        let hist = registry.histogram("lat_ns", Vec::new());
-        hist.record(100);
-        hist.record(300);
-
-        let snap = registry.snapshot();
-        assert_eq!(
-            snap.get("pkts_total", &[("tenant", "1")]),
-            Some(&MetricValue::Counter(6)),
-            "both handles fed one series"
-        );
-        assert_eq!(
-            snap.get("depth", &[("shard", "0")]),
-            Some(&MetricValue::Gauge {
-                value: 3,
-                high_watermark: 4
-            })
-        );
-        match snap.get("lat_ns", &[]) {
-            Some(MetricValue::Histogram(h)) => assert_eq!(h.count(), 2),
-            other => panic!("histogram missing: {other:?}"),
-        }
-        assert!(validate_prometheus(&snap.to_prometheus()).is_ok());
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! phases they reached — partial samples are real cost attribution, not
 //! noise — so phase histograms may have differing counts.
 
-use crate::telemetry::LatencyHistogram;
+use crate::telemetry::{BaselineMismatch, LatencyHistogram};
 
 /// The five hot-path phases, in pipeline order. Index with [`Phase`].
 pub const PROFILE_PHASES: [&str; 5] = ["filter", "parse", "match", "deparse", "egress"];
@@ -81,6 +81,33 @@ impl StageProfile {
         for (mine, theirs) in self.phase_ns.iter_mut().zip(other.phase_ns.iter()) {
             mine.merge(theirs);
         }
+    }
+
+    /// `self − baseline`, where `baseline` is an earlier snapshot of the
+    /// same profile (see [`LatencyHistogram::subtracting`]). Keeps this
+    /// profile's interval.
+    pub fn subtracting(&self, baseline: &StageProfile) -> Result<StageProfile, BaselineMismatch> {
+        let sampled = self
+            .sampled
+            .checked_sub(baseline.sampled)
+            .ok_or(BaselineMismatch {
+                bucket: None,
+                current: self.sampled,
+                baseline: baseline.sampled,
+            })?;
+        let mut phase_ns: [LatencyHistogram; PROFILE_PHASES.len()] = Default::default();
+        for ((delta, mine), theirs) in phase_ns
+            .iter_mut()
+            .zip(&self.phase_ns)
+            .zip(&baseline.phase_ns)
+        {
+            *delta = mine.subtracting(theirs)?;
+        }
+        Ok(StageProfile {
+            interval: self.interval,
+            sampled,
+            phase_ns,
+        })
     }
 }
 
@@ -277,6 +304,13 @@ mod tests {
         assert_eq!(a.phase_ns[Phase::Egress as usize].count(), 0);
         assert!(!a.is_empty());
         assert!(StageProfile::default().is_empty());
+
+        // Subtracting the merged-in profile recovers the original counts.
+        let delta = a.subtracting(&b).unwrap();
+        assert_eq!(delta.sampled, 2);
+        assert_eq!(delta.phase_ns[Phase::Parse as usize].count(), 1);
+        assert_eq!(delta.phase_ns[Phase::Match as usize].count(), 1);
+        assert!(b.subtracting(&a).is_err(), "a later profile is no baseline");
     }
 
     #[cfg(feature = "profiling")]

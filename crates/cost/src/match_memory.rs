@@ -1,8 +1,7 @@
 //! Match-memory model: bytes per entry for each match-table layout.
 //!
-//! The prototype's per-stage CAM holds 16 entries of
-//! [`MATCH_ENTRY_BITS`](menshen_rmt::params::MATCH_ENTRY_BITS) match state
-//! plus a VLIW action word — fine for the paper's FPGA, hopeless for the
+//! The prototype's per-stage CAM holds 16 entries of [`MATCH_ENTRY_BITS`]
+//! match state plus a VLIW action word — fine for the paper's FPGA, hopeless for the
 //! ROADMAP's "millions of flow rules". The flat LPM trie and the
 //! priority-interval range table trade the CAM's per-entry full-key storage
 //! for layouts whose footprint depends on the *rule distribution*. This

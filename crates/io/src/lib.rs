@@ -9,7 +9,7 @@
 //!
 //! * [`PacketIo`] — the backend trait: burst rx, an [`EgressSink`] for
 //!   verdict-driven tx, drain semantics, and per-backend [`LinkStats`]
-//!   that feed the `menshen_core::metrics` registry;
+//!   that export as a `menshen_core::MetricsSnapshot`;
 //! * [`InProcessIo`] — today's `submit_owned` path behind the trait: a
 //!   caller injects packets through a handle and reads echoed verdicts back;
 //! * [`TraceIo`] — `crates/trace` replay behind the trait, preserving the

@@ -8,9 +8,9 @@
 //!    (`127.0.0.1`, loopback only) for live reconfiguration — load/unload
 //!    modules, resize the shard set, snapshot metrics — while traffic
 //!    flows;
-//! 3. **egress** — already wired: the backend's [`EgressSink`] was
-//!    installed on the runtime at construction and runs on the worker
-//!    threads.
+//! 3. **egress** — already wired: the backend's
+//!    [`EgressSink`](menshen_runtime::EgressSink) was installed on the
+//!    runtime at construction and runs on the worker threads.
 //!
 //! Shutdown is [`graceful_drain`](Service::graceful_drain): stop rx →
 //! discard late arrivals at the I/O edge → flush barrier → conservation

@@ -147,7 +147,7 @@ impl StatefulMemory {
     }
 
     /// Copies a contiguous range of words out of the memory without touching
-    /// the access statistics (a management-plane read, like [`peek`]
+    /// the access statistics (a management-plane read, like [`peek`](Self::peek)
     /// (Self::peek)). This is the extraction half of the state-migration
     /// hooks: the sharded runtime snapshots a module's segment here before
     /// replaying it into another replica.

@@ -124,7 +124,7 @@ impl RangeTable {
     }
 
     /// Installs a rule matching `lo..=hi`. O(1) amortised: appends to the
-    /// delta buffer and rebuilds the base layer only every [`DELTA_LIMIT`]
+    /// delta buffer and rebuilds the base layer only every `DELTA_LIMIT`
     /// inserts. Readers are never blocked or left with a partial view.
     pub fn insert(&mut self, rule: RangeRule) -> Result<()> {
         if rule.lo > rule.hi {
@@ -147,7 +147,7 @@ impl RangeTable {
     }
 
     /// Installs a whole initial table population in one go, folding the
-    /// base layer once at the end instead of every [`DELTA_LIMIT`] inserts —
+    /// base layer once at the end instead of every `DELTA_LIMIT` inserts —
     /// the control-plane path for standing a table up at the million-rule
     /// scale, where per-insert amortised rebuilds would cost O(n²·log n)
     /// total. All rules are validated before any is installed, so a bad rule

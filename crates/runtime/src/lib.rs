@@ -52,8 +52,9 @@
 //!   tenant-affine when its parser is not digestible
 //!   ([`Steerer::pin_module`]) — single-owner and
 //!   migratable, at the price of one shard carrying the whole tenant.
-//! * [`shard`] — the shard and dispatcher thread bodies and the cross-thread
-//!   progress board.
+//! * [`shard`] — the shard and dispatcher thread bodies, the cross-thread
+//!   progress board, and [`ShardTelemetry`], the one telemetry record every
+//!   aggregate merges.
 //! * [`runtime`] — [`ShardedRuntime`], tying it all together, in a
 //!   threaded mode (deployment) and a deterministic in-process mode that is
 //!   exactly testable against a single [`menshen_core::MenshenPipeline`] for
@@ -86,6 +87,6 @@ pub use rss::{
 };
 pub use runtime::{
     ConservationAudit, DispatchSpray, DispatcherStats, ExecutionMode, RecoveryReport, ResizeReport,
-    RetiredTally, RuntimeError, RuntimeLatency, RuntimeOptions, ShardedRuntime,
+    RetiredTally, RuntimeError, RuntimeOptions, ShardedRuntime,
 };
 pub use shard::{EgressSink, RingDepth, ShardSnapshot, ShardStats, ShardTelemetry};

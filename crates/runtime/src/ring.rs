@@ -11,7 +11,7 @@
 //!
 //! The ring is a fixed slot array indexed by two monotonically increasing
 //! positions — `tail` (producer) and `head` (consumer) — each on its own
-//! cache line ([`CachePadded`]) so the producer's store never invalidates the
+//! cache line (`CachePadded`) so the producer's store never invalidates the
 //! consumer's line. Both sides keep a *cached* copy of the opposite index:
 //! the common push/pop only touches its own index plus the slot, and reloads
 //! the opposite index (one shared-line read) only when the cached value says

@@ -50,13 +50,13 @@ use crate::ring::{ring, ring_with_parker, Consumer, Parker, Producer, PushError}
 use crate::rss::{Steerer, SteeringMode, RETA_SIZE};
 use crate::shard::{
     apply_entry, process_shard_burst, run_dispatcher, run_worker, Burst, DispatcherUpdate,
-    EgressSink, RingDepth, ShardBurst, ShardSnapshot, ShardStats, ShardTelemetry, Shared,
+    EgressSink, RingDepth, ShardBurst, ShardProgress, ShardSnapshot, ShardStats, ShardTelemetry,
+    Shared,
 };
-use menshen_core::packet_filter::FilterCounters;
 use menshen_core::ExecutionMode as ModuleExecutionMode;
+use menshen_core::StateDigest;
 use menshen_core::TableRule;
 use menshen_core::{labels, MetricsSnapshot, StageProfile, TenantTelemetry, PROFILE_PHASES};
-use menshen_core::{LatencyHistogram, StateDigest};
 use menshen_core::{MenshenPipeline, ModuleConfig, ModuleCounters, ModuleId, ReconfigCommand};
 use menshen_core::{ModuleState, SystemStats, Verdict, BURST_SIZE};
 use menshen_json::Json;
@@ -267,17 +267,6 @@ impl std::fmt::Display for RuntimeError {
 
 impl std::error::Error for RuntimeError {}
 
-/// Merged latency telemetry across all shards, produced by
-/// [`ShardedRuntime::aggregated_latency`].
-#[derive(Debug, Clone, Default)]
-pub struct RuntimeLatency {
-    /// Per-packet sojourn time (dispatcher ingress stamp → burst
-    /// completion), nanoseconds. Merged bucket-exactly across shards.
-    pub packet_ns: LatencyHistogram,
-    /// Per-burst pipeline service time, nanoseconds.
-    pub burst_ns: LatencyHistogram,
-}
-
 /// One dispatcher thread's occupancy and throughput telemetry
 /// ([`ShardedRuntime::dispatcher_stats`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -321,7 +310,7 @@ pub struct ResizeReport {
 
 /// Dynamic totals inherited from shards that are gone — retired by
 /// scale-in or recovered after a failure (the dead incarnation's books):
-/// their traffic tallies, link statistics and latency histograms. Per-module
+/// their traffic tallies and their merged telemetry record. Per-module
 /// counters and stateful words are *not* here — those migrate into surviving
 /// replicas — but shard-level telemetry has no owning replica to move to, so
 /// the runtime folds it into every aggregate instead of losing history.
@@ -331,19 +320,20 @@ pub struct RetiredTally {
     pub shards_retired: usize,
     /// Summed traffic tallies of retired shards.
     pub stats: ShardStats,
-    /// Summed link statistics of retired shards (`link_packets` /
-    /// `link_bytes`; queue length keeps the max).
-    pub system: SystemStats,
-    /// Summed packet-filter counters of retired shards.
-    pub filter: FilterCounters,
-    /// Merged per-packet sojourn histograms of retired shards.
-    pub latency: LatencyHistogram,
-    /// Merged per-burst service-time histograms of retired shards.
-    pub burst_latency: LatencyHistogram,
-    /// Merged per-tenant SLO telemetry of retired shards.
-    pub tenants: BTreeMap<u16, TenantTelemetry>,
-    /// Merged sampled stage-timing profiles of retired shards.
-    pub profile: StageProfile,
+    /// Merged telemetry records of retired shards.
+    pub telemetry: ShardTelemetry,
+}
+
+impl RetiredTally {
+    /// Folds a departing shard's books — its tallies and the telemetry
+    /// record of its last snapshot — into the tally.
+    fn fold(&mut self, slot: &mut ShardProgress) {
+        self.shards_retired += 1;
+        self.stats.merge(&slot.stats);
+        if let Some(snapshot) = slot.snapshot.take() {
+            self.telemetry.merge(&snapshot.telemetry);
+        }
+    }
 }
 
 /// The packet-conservation audit
@@ -864,9 +854,10 @@ impl ShardedRuntime {
 
     /// Publishes a batch of control operations as one new epoch and returns
     /// it, *without* waiting for shards to apply it. Shards pick the epoch up
-    /// at their next burst boundary. Use [`wait_for_epoch`]
-    /// (Self::wait_for_epoch) to block until it is globally in effect, or the
-    /// synchronous wrappers ([`load_module`](Self::load_module) …) which
+    /// at their next burst boundary. Use
+    /// [`wait_for_epoch`](Self::wait_for_epoch) to block until it is
+    /// globally in effect, or the synchronous wrappers
+    /// ([`load_module`](Self::load_module) …) which
     /// flush in-flight traffic first and then wait — the hitless-reconfig
     /// ordering guarantee: the change lands strictly after all previously
     /// submitted packets and strictly before all subsequent ones. The flush
@@ -900,35 +891,16 @@ impl ShardedRuntime {
         match &mut self.backend {
             Backend::Deterministic(shards) => {
                 for (index, shard) in shards.iter_mut().enumerate() {
-                    let outcome = apply_entry(
+                    // `Retire` is acknowledged here; the resize control path
+                    // truncates the local-shard vector itself right after.
+                    apply_entry(
+                        &self.shared,
                         index,
                         &mut shard.pipeline,
                         &entry,
                         &shard.telemetry,
                         RingDepth::default(),
                     );
-                    let mut progress = self.shared.progress.lock().expect("progress lock poisoned");
-                    let slot = &mut progress.shards[index];
-                    slot.applied_epoch = entry.epoch;
-                    if let Some(snapshot) = outcome.snapshot {
-                        slot.snapshot = Some(snapshot);
-                    }
-                    if let Some(exports) = outcome.exported {
-                        slot.exported = Some((entry.epoch, exports));
-                    }
-                    if let Some(message) = outcome.error {
-                        slot.last_error = Some((entry.epoch, message));
-                    }
-                    drop(progress);
-                    self.shared.events.emit(
-                        self.shared.now_ns(),
-                        ControlEventKind::EpochApplied {
-                            epoch: entry.epoch,
-                            shard: index as u64,
-                        },
-                    );
-                    // `Retire` is acknowledged here; the resize control path
-                    // truncates the local-shard vector itself right after.
                 }
             }
             Backend::Threaded { .. } => {}
@@ -1576,12 +1548,10 @@ impl ShardedRuntime {
             {
                 let mut progress = self.shared.progress.lock().expect("progress lock poisoned");
                 let epoch = self.epoch;
-                progress
-                    .shards
-                    .resize_with(new_shards, || crate::shard::ShardProgress {
-                        applied_epoch: epoch,
-                        ..Default::default()
-                    });
+                progress.shards.resize_with(new_shards, || ShardProgress {
+                    applied_epoch: epoch,
+                    ..Default::default()
+                });
                 let mut wreckage = self.shared.wreckage.lock().expect("wreckage lock poisoned");
                 wreckage.resize_with(new_shards, || None);
             }
@@ -1736,27 +1706,7 @@ impl ShardedRuntime {
             // gone (an earlier fold would double-count them on a failed
             // resize, where the slots survive).
             for slot in progress.shards.iter_mut().skip(new_shards) {
-                let tally = &mut self.retired;
-                tally.shards_retired += 1;
-                tally.stats.bursts += slot.stats.bursts;
-                tally.stats.packets += slot.stats.packets;
-                tally.stats.forwarded += slot.stats.forwarded;
-                tally.stats.dropped += slot.stats.dropped;
-                if let Some(snapshot) = slot.snapshot.take() {
-                    tally.system.link_packets += snapshot.system.link_packets;
-                    tally.system.link_bytes += snapshot.system.link_bytes;
-                    tally.system.queue_len = tally.system.queue_len.max(snapshot.system.queue_len);
-                    tally.filter.admitted += snapshot.filter.admitted;
-                    tally.filter.dropped_no_vlan += snapshot.filter.dropped_no_vlan;
-                    tally.filter.dropped_reconfiguring += snapshot.filter.dropped_reconfiguring;
-                    tally.filter.reconfig_seen += snapshot.filter.reconfig_seen;
-                    tally.latency.merge(&snapshot.latency);
-                    tally.burst_latency.merge(&snapshot.burst_latency);
-                    for (tenant, view) in &snapshot.tenants {
-                        tally.tenants.entry(*tenant).or_default().merge(view);
-                    }
-                    tally.profile.merge(&snapshot.profile);
-                }
+                self.retired.fold(slot);
             }
             progress.shards.truncate(new_shards);
             // Dispatcher per-shard tallies follow the shard slots: a stale
@@ -2415,8 +2365,8 @@ impl ShardedRuntime {
 
     /// Packets that worker failure made unprocessable, runtime-lifetime:
     /// casualties already folded by recovery plus losses still sitting on
-    /// the progress board (a dead shard awaiting [`supervise`]
-    /// (Self::supervise), bursts that hit a closed ring).
+    /// the progress board (a dead shard awaiting
+    /// [`supervise`](Self::supervise), bursts that hit a closed ring).
     pub fn lost_to_failure_total(&self) -> u64 {
         let progress = self.shared.progress.lock().expect("progress lock poisoned");
         let boarded: u64 = progress
@@ -2634,28 +2584,8 @@ impl ShardedRuntime {
                 lost_now = slot.lost_packets + residue;
                 let flush_offset =
                     slot.flush_offset + slot.stats.packets + slot.lost_packets + residue;
-                let tally = &mut self.retired;
-                tally.shards_retired += 1;
-                tally.stats.bursts += slot.stats.bursts;
-                tally.stats.packets += slot.stats.packets;
-                tally.stats.forwarded += slot.stats.forwarded;
-                tally.stats.dropped += slot.stats.dropped;
-                if let Some(snapshot) = slot.snapshot.take() {
-                    tally.system.link_packets += snapshot.system.link_packets;
-                    tally.system.link_bytes += snapshot.system.link_bytes;
-                    tally.system.queue_len = tally.system.queue_len.max(snapshot.system.queue_len);
-                    tally.filter.admitted += snapshot.filter.admitted;
-                    tally.filter.dropped_no_vlan += snapshot.filter.dropped_no_vlan;
-                    tally.filter.dropped_reconfiguring += snapshot.filter.dropped_reconfiguring;
-                    tally.filter.reconfig_seen += snapshot.filter.reconfig_seen;
-                    tally.latency.merge(&snapshot.latency);
-                    tally.burst_latency.merge(&snapshot.burst_latency);
-                    for (tenant, view) in &snapshot.tenants {
-                        tally.tenants.entry(*tenant).or_default().merge(view);
-                    }
-                    tally.profile.merge(&snapshot.profile);
-                }
-                *slot = crate::shard::ShardProgress {
+                self.retired.fold(slot);
+                *slot = ShardProgress {
                     applied_epoch: epoch,
                     flush_offset,
                     heartbeat_ns: now_ns,
@@ -2831,10 +2761,7 @@ impl ShardedRuntime {
     pub fn total_stats(&self) -> ShardStats {
         let mut total = self.retired.stats;
         for stats in self.shard_stats() {
-            total.bursts += stats.bursts;
-            total.packets += stats.packets;
-            total.forwarded += stats.forwarded;
-            total.dropped += stats.dropped;
+            total.merge(&stats);
         }
         total
     }
@@ -2886,22 +2813,40 @@ impl ShardedRuntime {
         Ok(merged)
     }
 
-    /// Merged latency telemetry across all shards (one `Snapshot` epoch,
+    /// The runtime's whole telemetry, from one `Snapshot` epoch (preceded
+    /// by a flush): the retired shards' record merged with every live
+    /// shard's, and shed packets — which never reached a shard, so no shard
+    /// ledger attributed them — folded into each tenant's backpressure
+    /// column. Returned with the live snapshots, whose gauges only mean
+    /// something per shard. Every aggregate below is a projection of this
+    /// one value; including the retired record keeps each of them monotone
+    /// across resizes, so an earlier one subtracts cleanly as a baseline.
+    fn aggregate(&mut self) -> Result<(ShardTelemetry, Vec<ShardSnapshot>), RuntimeError> {
+        let snapshots = self.snapshots()?;
+        let mut merged = self.retired.telemetry.clone();
+        for snapshot in &snapshots {
+            merged.merge(&snapshot.telemetry);
+        }
+        for (tenant, count) in self.shed_by_tenant() {
+            if count > 0 {
+                merged
+                    .tenants
+                    .entry(tenant)
+                    .or_default()
+                    .ledger
+                    .record_backpressure(count);
+            }
+        }
+        Ok((merged, snapshots))
+    }
+
+    /// The runtime's merged telemetry record (one `Snapshot` epoch,
     /// preceded by a flush): each shard records per-packet sojourn and
     /// per-burst service time locally, and the control plane merges the
-    /// histograms here — bucket-count addition, which is exact.
-    pub fn aggregated_latency(&mut self) -> Result<RuntimeLatency, RuntimeError> {
-        let mut merged = RuntimeLatency::default();
-        // Retired shards' histograms first: aggregated latency must stay
-        // monotone across resizes, or an earlier snapshot would no longer
-        // subtract cleanly as a baseline.
-        merged.packet_ns.merge(&self.retired.latency);
-        merged.burst_ns.merge(&self.retired.burst_latency);
-        for snapshot in self.snapshots()? {
-            merged.packet_ns.merge(&snapshot.latency);
-            merged.burst_ns.merge(&snapshot.burst_latency);
-        }
-        Ok(merged)
+    /// histograms — bucket-count addition, which is exact — together with
+    /// the per-tenant views, stage profiles and link counters.
+    pub fn aggregated_latency(&mut self) -> Result<ShardTelemetry, RuntimeError> {
+        Ok(self.aggregate()?.0)
     }
 
     /// Per-shard input-ring depth telemetry from the most recent snapshot
@@ -2922,40 +2867,19 @@ impl ShardedRuntime {
 
     /// Aggregated per-tenant SLO telemetry (sojourn histogram + verdict
     /// ledger per module ID), merged across live shards and everything
-    /// retired shards recorded before scale-in. Takes one `Snapshot` epoch,
+    /// retired shards recorded before scale-in; the overloaded tenant's
+    /// view includes its own shed load. Takes one `Snapshot` epoch,
     /// preceded by a flush. Tenant 0 collects packets that never resolved
     /// to a module (no VLAN tag, unknown module).
     pub fn aggregated_tenants(&mut self) -> Result<BTreeMap<u16, TenantTelemetry>, RuntimeError> {
-        let mut merged = self.retired.tenants.clone();
-        for snapshot in self.snapshots()? {
-            for (tenant, view) in snapshot.tenants {
-                merged.entry(tenant).or_default().merge(&view);
-            }
-        }
-        // Shed packets never reached a shard, so no shard ledger attributed
-        // them; fold them into each tenant's backpressure column here — the
-        // overloaded tenant's view includes its own shed load.
-        for (tenant, count) in self.shed_by_tenant() {
-            if count > 0 {
-                merged
-                    .entry(tenant)
-                    .or_default()
-                    .ledger
-                    .record_backpressure(count);
-            }
-        }
-        Ok(merged)
+        Ok(self.aggregate()?.0.tenants)
     }
 
     /// Merged sampled stage-timing profile across all shards (live +
     /// retired). Permanently empty unless `menshen-core` was built with the
     /// `profiling` cargo feature.
     pub fn aggregated_profile(&mut self) -> Result<StageProfile, RuntimeError> {
-        let mut merged = self.retired.profile.clone();
-        for snapshot in self.snapshots()? {
-            merged.merge(&snapshot.profile);
-        }
-        Ok(merged)
+        Ok(self.aggregate()?.0.profile)
     }
 
     /// Sets the hot-path profiling sample interval (1-in-N; 0 disables) on
@@ -2981,23 +2905,16 @@ impl ShardedRuntime {
     /// must be attributed to a verdict in the shard tallies *and* retold by
     /// the per-tenant ledgers. See [`ConservationAudit::is_balanced`].
     pub fn conservation_audit(&mut self) -> Result<ConservationAudit, RuntimeError> {
-        // `snapshots` runs the full flush barrier before its epoch, so the
-        // counts below are taken at a true quiesce.
-        let snapshots = self.snapshots()?;
+        // `aggregate` runs the full flush barrier before its epoch, so the
+        // counts below are taken at a true quiesce. Its ledgers already
+        // carry the shed packets.
+        let (merged, _) = self.aggregate()?;
         let total = self.total_stats();
-        let mut ledger_total: u64 = self
-            .retired
+        let ledger_total = merged
             .tenants
             .values()
             .map(|view| view.ledger.total())
             .sum();
-        for snapshot in &snapshots {
-            ledger_total += snapshot
-                .tenants
-                .iter()
-                .map(|(_, view)| view.ledger.total())
-                .sum::<u64>();
-        }
         let shed: u64 = self.shed_by_tenant().values().sum();
         let lost_to_failure = self.lost_to_failure_total();
         Ok(ConservationAudit {
@@ -3010,7 +2927,7 @@ impl ShardedRuntime {
             in_flight: self
                 .submitted_packets
                 .saturating_sub(total.packets + shed + lost_to_failure),
-            ledger_total: ledger_total + shed,
+            ledger_total,
         })
     }
 
@@ -3021,7 +2938,7 @@ impl ShardedRuntime {
     /// by a flush; snapshots from several runtimes merge exactly
     /// ([`MetricsSnapshot::merge`]).
     pub fn metrics_snapshot(&mut self) -> Result<MetricsSnapshot, RuntimeError> {
-        let snapshots = self.snapshots()?;
+        let (merged, snapshots) = self.aggregate()?;
         let stats = self.shard_stats();
         let dispatcher_stats = self.dispatcher_stats();
         let mut out = MetricsSnapshot::new();
@@ -3081,21 +2998,6 @@ impl ShardedRuntime {
                 stat.bursts,
             );
         }
-        // Merge the cross-shard views (live + retired) once, here, instead
-        // of per-aggregate snapshot epochs.
-        let mut packet_ns = self.retired.latency.clone();
-        let mut burst_ns = self.retired.burst_latency.clone();
-        let mut tenants = self.retired.tenants.clone();
-        for (tenant, count) in self.shed_by_tenant() {
-            if count > 0 {
-                tenants
-                    .entry(tenant)
-                    .or_default()
-                    .ledger
-                    .record_backpressure(count);
-            }
-        }
-        let mut profile = self.retired.profile.clone();
         for (index, snapshot) in snapshots.iter().enumerate() {
             out.push_gauge(
                 "menshen_ring_occupancy_bursts",
@@ -3103,16 +3005,10 @@ impl ShardedRuntime {
                 snapshot.ring.occupancy,
                 snapshot.ring.high_watermark,
             );
-            packet_ns.merge(&snapshot.latency);
-            burst_ns.merge(&snapshot.burst_latency);
-            for (tenant, view) in &snapshot.tenants {
-                tenants.entry(*tenant).or_default().merge(view);
-            }
-            profile.merge(&snapshot.profile);
         }
-        out.push_histogram("menshen_packet_sojourn_ns", Vec::new(), packet_ns);
-        out.push_histogram("menshen_burst_service_ns", Vec::new(), burst_ns);
-        for (tenant, view) in &tenants {
+        out.push_histogram("menshen_packet_sojourn_ns", Vec::new(), merged.packet_ns);
+        out.push_histogram("menshen_burst_service_ns", Vec::new(), merged.burst_ns);
+        for (tenant, view) in merged.tenants {
             let tenant = tenant.to_string();
             out.push_counter(
                 "menshen_tenant_forwarded_total",
@@ -3129,16 +3025,17 @@ impl ShardedRuntime {
             out.push_histogram(
                 "menshen_tenant_sojourn_ns",
                 labels([("tenant", tenant)]),
-                view.sojourn_ns.clone(),
+                view.sojourn_ns,
             );
         }
+        let profile = merged.profile;
         if !profile.is_empty() {
             out.push_counter("menshen_stage_samples_total", Vec::new(), profile.sampled);
-            for (stage, histogram) in PROFILE_PHASES.iter().zip(profile.phase_ns.iter()) {
+            for (stage, histogram) in PROFILE_PHASES.iter().zip(profile.phase_ns) {
                 out.push_histogram(
                     "menshen_stage_ns",
                     labels([("stage", stage.to_string())]),
-                    histogram.clone(),
+                    histogram,
                 );
             }
         }
@@ -3180,25 +3077,19 @@ impl ShardedRuntime {
         self.shared.events.to_chrome_trace()
     }
 
-    /// Aggregated device statistics: link packets/bytes sum across shards;
-    /// the queue length reports the maximum (queues are per shard, so the sum
-    /// would be meaningless) and utilisation the mean.
+    /// Aggregated device statistics: link packets/bytes sum across shards,
+    /// retired ones included; the queue length reports the live maximum
+    /// (queues are per shard, so the sum would be meaningless) and
+    /// utilisation the live mean.
     pub fn aggregated_system_stats(&mut self) -> Result<SystemStats, RuntimeError> {
-        let snapshots = self.snapshots()?;
-        // Link history observed by since-retired shards stays in the total.
-        let mut merged = SystemStats {
-            link_packets: self.retired.system.link_packets,
-            link_bytes: self.retired.system.link_bytes,
-            ..SystemStats::default()
-        };
+        let (merged, snapshots) = self.aggregate()?;
         let count = snapshots.len().max(1) as f64;
-        for snapshot in snapshots {
-            merged.link_packets += snapshot.system.link_packets;
-            merged.link_bytes += snapshot.system.link_bytes;
-            merged.queue_len = merged.queue_len.max(snapshot.system.queue_len);
-            merged.link_utilization += snapshot.system.link_utilization / count;
-        }
-        Ok(merged)
+        Ok(SystemStats {
+            link_packets: merged.link_packets,
+            link_bytes: merged.link_bytes,
+            queue_len: snapshots.iter().map(|s| s.queue_len).max().unwrap_or(0),
+            link_utilization: snapshots.iter().map(|s| s.link_utilization / count).sum(),
+        })
     }
 
     /// Aggregated counters for one module (convenience over

@@ -9,7 +9,7 @@
 //! and send the spent frames home over its return ring so the thread that
 //! allocated them is the one that frees them.
 //! All cross-thread coordination happens at burst granularity through the
-//! [`Shared`] state: the epoch log on the way in, the progress board
+//! shared state: the epoch log on the way in, the progress board
 //! (applied epoch, bursts completed, traffic tallies, on-demand snapshots)
 //! on the way out.
 //!
@@ -22,23 +22,24 @@
 //! flushed whenever the input ring runs dry, which is exactly the quiesce
 //! point the control plane's flush barrier waits for.
 //!
-//! Each shard also keeps two local [`LatencyHistogram`]s — per-packet
-//! sojourn time (ring wait + service, measured from the ingress stamp in
-//! [`menshen_packet::Packet::timestamp_ns`]) and per-burst service time —
-//! plus, at snapshot time, its input rings' depth high-watermark and current
-//! occupancy, so backpressure is visible in telemetry. Recording is
-//! shard-local and lock-free; the control plane only sees the data when a
-//! `Snapshot` epoch exports it.
+//! Each shard keeps one [`ShardTelemetry`] record: per-packet sojourn time
+//! (ring wait + service, measured from the ingress stamp in
+//! [`menshen_packet::Packet::timestamp_ns`]), per-burst service time and a
+//! per-tenant ledger. Recording is shard-local and lock-free; the control
+//! plane only sees the record when a `Snapshot` epoch exports it, completed
+//! with the replica's stage profile and link counters, inside a
+//! [`ShardSnapshot`] beside the live-only gauges (per-module counters,
+//! input-ring depth). The runtime folds every exported record — and the
+//! records of shards that are gone — with the one `ShardTelemetry::merge`.
 
 use crate::control::{EpochEntry, EpochLog};
 use crate::events::{ControlEventKind, EventTrace};
 use crate::faults::{FaultPlan, WorkerFault};
 use crate::ring::{Consumer, Parker, Producer, PushError};
 use crate::rss::Steerer;
-use menshen_core::packet_filter::FilterCounters;
 use menshen_core::{
-    LatencyHistogram, MenshenPipeline, ModuleCounters, ModuleState, StageProfile, StateDigest,
-    SystemStats, TenantTelemetry, Verdict,
+    BaselineMismatch, LatencyHistogram, MenshenPipeline, ModuleCounters, ModuleState, StageProfile,
+    StateDigest, TenantTelemetry, Verdict,
 };
 use menshen_packet::Packet;
 use std::collections::BTreeMap;
@@ -151,8 +152,20 @@ pub struct ShardStats {
     pub dropped: u64,
 }
 
-/// A shard's local latency recorders: per-packet sojourn time and per-burst
-/// service time, both in nanoseconds.
+impl ShardStats {
+    /// Adds another shard's tallies to these.
+    pub(crate) fn merge(&mut self, other: &ShardStats) {
+        self.bursts += other.bursts;
+        self.packets += other.packets;
+        self.forwarded += other.forwarded;
+        self.dropped += other.dropped;
+    }
+}
+
+/// The runtime's one telemetry record: what a shard recorded, what a
+/// retired shard left behind, and — merged — what the whole runtime
+/// recorded. Every field merges exactly, so records folded in any order
+/// equal one central recording.
 #[derive(Debug, Clone, Default)]
 pub struct ShardTelemetry {
     /// Per-packet latency: dispatcher ingress stamp → burst completion
@@ -165,6 +178,16 @@ pub struct ShardTelemetry {
     /// by module ID. Tenant 0 collects packets that never resolved to a
     /// module (no VLAN tag, VLAN with no loaded module).
     pub tenants: BTreeMap<u16, TenantTelemetry>,
+    /// Sampled per-stage timing of the shard's replica (empty unless the
+    /// `profiling` cargo feature is enabled in `menshen-core`). Filled in
+    /// when the record is snapshotted.
+    pub profile: StageProfile,
+    /// Packets observed on the replica's ingress link, filled in when the
+    /// record is snapshotted.
+    pub link_packets: u64,
+    /// Bytes observed on the replica's ingress link, filled in when the
+    /// record is snapshotted.
+    pub link_bytes: u64,
 }
 
 impl ShardTelemetry {
@@ -174,6 +197,48 @@ impl ShardTelemetry {
             .entry(verdict_tenant(verdict))
             .or_default()
             .record(verdict, sojourn_ns);
+    }
+
+    /// Folds another record in: histograms add bucket counts, tenant views
+    /// and profiles merge, link counters add.
+    pub(crate) fn merge(&mut self, other: &ShardTelemetry) {
+        self.packet_ns.merge(&other.packet_ns);
+        self.burst_ns.merge(&other.burst_ns);
+        for (tenant, view) in &other.tenants {
+            self.tenants.entry(*tenant).or_default().merge(view);
+        }
+        self.profile.merge(&other.profile);
+        self.link_packets += other.link_packets;
+        self.link_bytes += other.link_bytes;
+    }
+
+    /// `self − baseline`, for measuring one run on a reused runtime whose
+    /// records are cumulative. Errors when `baseline` is not an earlier
+    /// snapshot of this record.
+    pub fn subtracting(
+        &self,
+        baseline: &ShardTelemetry,
+    ) -> Result<ShardTelemetry, BaselineMismatch> {
+        let counter = |current: u64, earlier: u64| {
+            current.checked_sub(earlier).ok_or(BaselineMismatch {
+                bucket: None,
+                current,
+                baseline: earlier,
+            })
+        };
+        let mut tenants = self.tenants.clone();
+        for (tenant, before) in &baseline.tenants {
+            let view = tenants.entry(*tenant).or_default();
+            *view = view.subtracting(before)?;
+        }
+        Ok(ShardTelemetry {
+            packet_ns: self.packet_ns.subtracting(&baseline.packet_ns)?,
+            burst_ns: self.burst_ns.subtracting(&baseline.burst_ns)?,
+            tenants,
+            profile: self.profile.subtracting(&baseline.profile)?,
+            link_packets: counter(self.link_packets, baseline.link_packets)?,
+            link_bytes: counter(self.link_bytes, baseline.link_bytes)?,
+        })
     }
 }
 
@@ -216,28 +281,22 @@ pub struct RingDepth {
 }
 
 /// A shard's exported statistics snapshot, produced on demand by the
-/// [`crate::ControlOp::Snapshot`] operation.
+/// [`crate::ControlOp::Snapshot`] operation: its cumulative telemetry
+/// record plus the gauges that only mean something for a live shard.
 #[derive(Debug, Clone, Default)]
 pub struct ShardSnapshot {
+    /// Everything this shard has recorded, cumulatively.
+    pub telemetry: ShardTelemetry,
     /// Per-module traffic counters of this shard's replica.
     pub counters: Vec<(u16, ModuleCounters)>,
-    /// Device statistics of this shard's system-level module.
-    pub system: SystemStats,
-    /// This shard's packet-filter counters.
-    pub filter: FilterCounters,
-    /// Cumulative per-packet latency recorded by this shard.
-    pub latency: LatencyHistogram,
-    /// Cumulative per-burst service time recorded by this shard.
-    pub burst_latency: LatencyHistogram,
-    /// Cumulative per-tenant SLO telemetry recorded by this shard, sorted
-    /// by module ID.
-    pub tenants: Vec<(u16, TenantTelemetry)>,
-    /// Sampled per-stage timing from this shard's replica (empty unless the
-    /// `profiling` cargo feature is enabled in `menshen-core`).
-    pub profile: StageProfile,
     /// Input-ring depth telemetry (zero in deterministic mode, where no
     /// rings exist).
     pub ring: RingDepth,
+    /// The replica's simulated output-queue occupancy, in packets.
+    pub queue_len: u32,
+    /// The replica's link utilisation over its last accounting window,
+    /// 0.0–1.0.
+    pub link_utilization: f64,
 }
 
 /// One shard's slice of the progress board.
@@ -528,35 +587,28 @@ impl Shared {
     }
 }
 
-/// Everything one applied epoch produced on one shard.
-#[derive(Default)]
-pub(crate) struct EntryOutcome {
-    /// Snapshot, if the entry contained a `Snapshot` op.
-    pub snapshot: Option<ShardSnapshot>,
-    /// Dynamic state extracted by `ExportState` ops addressed to this shard.
-    pub exported: Option<Vec<ModuleState>>,
-    /// First error message, if any op failed.
-    pub error: Option<String>,
-    /// True when a `Retire` op addressed this shard: the worker must exit
-    /// after acknowledging the epoch.
-    pub retired: bool,
-}
-
-/// Applies one published entry to shard `shard_index`'s pipeline replica.
+/// Applies one published entry to shard `shard_index`'s pipeline replica
+/// and posts the outcome — applied epoch, snapshot, exported state, first
+/// error — to the shard's progress slot, with an `EpochApplied` event.
+/// Returns true when a `Retire` op addressed this shard.
+///
 /// Later ops still run after a failure so replicas cannot diverge on which
 /// prefix of the entry they applied. The per-shard ops (snapshot, state
 /// export/inject, retirement) are resolved here, where the shard index is
 /// known; `ControlOp::apply` treats them as no-ops so configuration replicas
 /// replayed from the log stay config-only.
 pub(crate) fn apply_entry(
+    shared: &Shared,
     shard_index: usize,
     pipeline: &mut MenshenPipeline,
     entry: &EpochEntry,
     telemetry: &ShardTelemetry,
     ring: RingDepth,
-) -> EntryOutcome {
-    let mut outcome = EntryOutcome::default();
+) -> bool {
     let mut wants_snapshot = false;
+    let mut exported: Option<Vec<ModuleState>> = None;
+    let mut error: Option<String> = None;
+    let mut retired = false;
     for op in &entry.ops {
         match op {
             crate::ControlOp::Snapshot => {
@@ -568,7 +620,7 @@ pub(crate) fn apply_entry(
                 from_shard,
             } => {
                 if shard_index >= *from_shard {
-                    let exports = outcome.exported.get_or_insert_with(Vec::new);
+                    let exports = exported.get_or_insert_with(Vec::new);
                     for module in modules {
                         if let Some(state) = pipeline.take_module_state(*module) {
                             exports.push(state);
@@ -580,14 +632,14 @@ pub(crate) fn apply_entry(
             crate::ControlOp::InjectState { shard, state } => {
                 if *shard == shard_index {
                     if let Err(e) = pipeline.import_module_state(state) {
-                        outcome.error.get_or_insert_with(|| e.to_string());
+                        error.get_or_insert_with(|| e.to_string());
                     }
                 }
                 continue;
             }
             crate::ControlOp::ExportStateSnapshot { modules, shard } => {
                 if shard_index == *shard {
-                    let exports = outcome.exported.get_or_insert_with(Vec::new);
+                    let exports = exported.get_or_insert_with(Vec::new);
                     for module in modules {
                         if let Some(state) = pipeline.export_module_state(*module) {
                             exports.push(state);
@@ -608,7 +660,7 @@ pub(crate) fn apply_entry(
                         let mut merged = (**state).clone();
                         merged.counters.add(&own.counters);
                         if let Err(e) = pipeline.import_module_state(&merged) {
-                            outcome.error.get_or_insert_with(|| e.to_string());
+                            error.get_or_insert_with(|| e.to_string());
                         }
                     }
                 }
@@ -616,23 +668,45 @@ pub(crate) fn apply_entry(
             }
             crate::ControlOp::Retire { keep } => {
                 if shard_index >= *keep {
-                    outcome.retired = true;
+                    retired = true;
                 }
                 continue;
             }
             _ => {}
         }
         if let Err(e) = op.apply(pipeline) {
-            outcome.error.get_or_insert_with(|| e.to_string());
+            error.get_or_insert_with(|| e.to_string());
         }
     }
-    outcome.snapshot = wants_snapshot.then(|| take_snapshot(pipeline, telemetry, ring));
-    outcome
+    let snapshot = wants_snapshot.then(|| take_snapshot(pipeline, telemetry, ring));
+    let epoch = entry.epoch;
+    let mut progress = shared.progress.lock().expect("progress lock poisoned");
+    let slot = &mut progress.shards[shard_index];
+    slot.applied_epoch = epoch;
+    if snapshot.is_some() {
+        slot.snapshot = snapshot;
+    }
+    if let Some(exports) = exported {
+        slot.exported = Some((epoch, exports));
+    }
+    if let Some(message) = error {
+        slot.last_error = Some((epoch, message));
+    }
+    drop(progress);
+    shared.events.emit(
+        shared.now_ns(),
+        ControlEventKind::EpochApplied {
+            epoch,
+            shard: shard_index as u64,
+        },
+    );
+    shared.cv.notify_all();
+    retired
 }
 
-/// Exports a replica's per-module counters, device statistics and latency
-/// telemetry.
-pub(crate) fn take_snapshot(
+/// Exports a replica's telemetry record — completed with its stage profile
+/// and link counters — per-module counters and live gauges.
+fn take_snapshot(
     pipeline: &MenshenPipeline,
     telemetry: &ShardTelemetry,
     ring: RingDepth,
@@ -647,19 +721,18 @@ pub(crate) fn take_snapshot(
             )
         })
         .collect();
+    let system = pipeline.system().stats();
     ShardSnapshot {
+        telemetry: ShardTelemetry {
+            profile: pipeline.stage_profile(),
+            link_packets: system.link_packets,
+            link_bytes: system.link_bytes,
+            ..telemetry.clone()
+        },
         counters,
-        system: pipeline.system().stats(),
-        filter: pipeline.filter().counters(),
-        latency: telemetry.packet_ns.clone(),
-        burst_latency: telemetry.burst_ns.clone(),
-        tenants: telemetry
-            .tenants
-            .iter()
-            .map(|(tenant, view)| (*tenant, view.clone()))
-            .collect(),
-        profile: pipeline.stage_profile(),
         ring,
+        queue_len: system.queue_len,
+        link_utilization: system.link_utilization,
     }
 }
 
@@ -702,30 +775,15 @@ pub(crate) fn apply_pending(
     };
     let mut retired = false;
     for entry in &pending {
-        let outcome = apply_entry(shard_index, pipeline, entry, telemetry, ring_depth(inputs));
-        *applied = entry.epoch;
-        retired |= outcome.retired;
-        let mut progress = shared.progress.lock().expect("progress lock poisoned");
-        let slot = &mut progress.shards[shard_index];
-        slot.applied_epoch = entry.epoch;
-        if let Some(snapshot) = outcome.snapshot {
-            slot.snapshot = Some(snapshot);
-        }
-        if let Some(exports) = outcome.exported {
-            slot.exported = Some((entry.epoch, exports));
-        }
-        if let Some(message) = outcome.error {
-            slot.last_error = Some((entry.epoch, message));
-        }
-        drop(progress);
-        shared.events.emit(
-            shared.now_ns(),
-            ControlEventKind::EpochApplied {
-                epoch: entry.epoch,
-                shard: shard_index as u64,
-            },
+        retired |= apply_entry(
+            shared,
+            shard_index,
+            pipeline,
+            entry,
+            telemetry,
+            ring_depth(inputs),
         );
-        shared.cv.notify_all();
+        *applied = entry.epoch;
     }
     retired
 }

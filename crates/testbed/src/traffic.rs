@@ -5,7 +5,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// A generator of VLAN-tagged UDP test traffic with controllable frame size
-/// and per-module mix — the role MoonGen [42] and the Spirent tester play in
+/// and per-module mix — the role MoonGen \[42\] and the Spirent tester play in
 /// the paper's testbed.
 #[derive(Debug, Clone)]
 pub struct TrafficGenerator {

@@ -204,8 +204,8 @@ impl<'a> Cursor<'a> {
 // ---------------------------------------------------------------------------
 
 /// Serialises `packets` as a classic pcap capture. Each packet's
-/// [`Packet::timestamp_ns`] becomes the record timestamp ([`Micros`]
-/// (TimestampPrecision::Micros) quantises to the format's resolution);
+/// [`Packet::timestamp_ns`] becomes the record timestamp
+/// ([`Micros`](TimestampPrecision::Micros) quantises to the format's resolution);
 /// frames are written in full (no snaplen truncation).
 pub fn write_pcap<W: Write>(
     out: &mut W,

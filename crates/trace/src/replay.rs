@@ -246,11 +246,11 @@ pub fn replay_pipeline(
 /// latency, and the dispatcher merges the histograms on snapshot.
 ///
 /// The runtime may carry earlier traffic: both the counter tallies *and*
-/// the latency histograms are baselined at entry and reported as this
-/// run's delta ([`LatencyHistogram::subtracting`]), so a warm-up replay on
-/// the same runtime does not pollute the measurement. The tallies come from
-/// the runtime's own shard statistics, so `all_packets_accounted` genuinely
-/// proves the device saw everything.
+/// the telemetry record are baselined at entry and reported as this run's
+/// delta ([`menshen_runtime::ShardTelemetry::subtracting`]), so a warm-up
+/// replay on the same runtime does not pollute the measurement. The
+/// tallies come from the runtime's own shard statistics, so
+/// `all_packets_accounted` genuinely proves the device saw everything.
 pub fn replay_sharded(
     runtime: &mut ShardedRuntime,
     trace: &[Packet],
@@ -260,17 +260,12 @@ pub fn replay_sharded(
     let baseline: Vec<u64> = runtime.shard_stats().iter().map(|s| s.packets).collect();
     let baseline_forwarded: u64 = runtime.shard_stats().iter().map(|s| s.forwarded).sum();
     let baseline_dropped: u64 = runtime.shard_stats().iter().map(|s| s.dropped).sum();
-    // The latency histograms are cumulative per shard; snapshot them before
-    // the run (only when the runtime has already processed traffic) so the
-    // report can subtract and cover exactly this run.
+    // The telemetry record is cumulative per shard; take it before the run
+    // (only when the runtime has already processed traffic) so the report
+    // can subtract and cover exactly this run.
     let had_traffic = baseline.iter().any(|&packets| packets > 0);
-    let latency_baseline = if had_traffic {
+    let before = if had_traffic {
         Some(runtime.aggregated_latency()?)
-    } else {
-        None
-    };
-    let tenant_baseline = if had_traffic {
-        Some(runtime.aggregated_tenants()?)
     } else {
         None
     };
@@ -290,32 +285,16 @@ pub fn replay_sharded(
         .collect();
     let forwarded: u64 = stats.iter().map(|s| s.forwarded).sum::<u64>() - baseline_forwarded;
     let dropped: u64 = stats.iter().map(|s| s.dropped).sum::<u64>() - baseline_dropped;
-    let telemetry = runtime.aggregated_latency()?;
-    let (latency, burst_latency) = match &latency_baseline {
-        Some(before) => (
-            telemetry
-                .packet_ns
-                .subtracting(&before.packet_ns)
-                .expect("runtime latency is cumulative; an entry snapshot subtracts cleanly"),
-            telemetry
-                .burst_ns
-                .subtracting(&before.burst_ns)
-                .expect("runtime latency is cumulative; an entry snapshot subtracts cleanly"),
-        ),
-        None => (telemetry.packet_ns, telemetry.burst_ns),
+    let after = runtime.aggregated_latency()?;
+    let run = match &before {
+        Some(before) => after
+            .subtracting(before)
+            .expect("runtime telemetry is cumulative; an entry snapshot subtracts cleanly"),
+        None => after,
     };
-    let tenants: Vec<(u16, TenantTelemetry)> = runtime
-        .aggregated_tenants()?
-        .iter()
-        .map(|(tenant, view)| {
-            let delta = match tenant_baseline.as_ref().and_then(|b| b.get(tenant)) {
-                Some(before) => view
-                    .subtracting(before)
-                    .expect("tenant telemetry is cumulative; an entry snapshot subtracts cleanly"),
-                None => view.clone(),
-            };
-            (*tenant, delta)
-        })
+    let tenants: Vec<(u16, TenantTelemetry)> = run
+        .tenants
+        .into_iter()
         .filter(|(_, view)| view.ledger.total() > 0)
         .collect();
     Ok(ReplayReport {
@@ -325,8 +304,8 @@ pub fn replay_sharded(
         wall_secs,
         achieved_pps: trace.len() as f64 / wall_secs,
         offered_pps,
-        latency,
-        burst_latency,
+        latency: run.packet_ns,
+        burst_latency: run.burst_ns,
         shard_packets,
         tenants,
     })

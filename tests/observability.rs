@@ -5,7 +5,8 @@
 
 use menshen::core::{validate_prometheus, MenshenPipeline, MetricValue, MetricsSnapshot};
 use menshen::runtime::{
-    chrome_trace_to_events, ControlEventKind, RuntimeOptions, ShardedRuntime, SteeringMode,
+    chrome_trace_to_events, ControlEventKind, FaultPlan, RuntimeOptions, ShardedRuntime,
+    SteeringMode,
 };
 use menshen::trace::replay::{replay_sharded, Pacing};
 use menshen::trace::synth::{synthesize, WorkloadSpec};
@@ -13,6 +14,7 @@ use menshen_bench::workloads::{flow_rule_tenant, flow_rule_tenant_with_port, flo
 use menshen_json::Json;
 use menshen_rmt::action::AluInstruction;
 use menshen_rmt::phv::ContainerRef as C;
+use std::time::Duration;
 
 const TENANTS: u16 = 4;
 const RULES: usize = 64;
@@ -241,4 +243,117 @@ fn conservation_audit_balances_after_threaded_replay() {
     assert_eq!(audit.ledger_total, 1024);
     assert_eq!(audit.in_flight, 0);
     assert_eq!(audit.forwarded + audit.dropped, 1024);
+}
+
+/// Every view of the books tells one story across retirement and recovery:
+/// after a 4 → 2 shrink with traffic on both sides, the metrics exposition's
+/// tenant and sojourn series equal the aggregates, and the ledgers sum to
+/// the audit's total; after a worker panic and `supervise()`, the runtime's
+/// record still contains everything it held before the kill, so the earlier
+/// record subtracts cleanly.
+#[test]
+fn aggregate_views_agree_across_retirement_and_recovery() {
+    let mut runtime = ShardedRuntime::from_pipeline(
+        &template(),
+        RuntimeOptions::deterministic(4).with_steering(SteeringMode::FiveTuple),
+    );
+    runtime.set_profile_interval(8).unwrap();
+    runtime.process_batch(trace(1024)).unwrap();
+    #[cfg(feature = "profiling")]
+    let sampled_before_shrink = runtime.aggregated_profile().unwrap().sampled;
+    runtime.resize(2).unwrap();
+    let retired = runtime.retired_tally();
+    assert_eq!(retired.shards_retired, 2);
+    assert!(retired.stats.packets > 0, "the retired shards saw traffic");
+    #[cfg(feature = "profiling")]
+    {
+        let sampled = runtime.aggregated_profile().unwrap().sampled;
+        assert!(sampled_before_shrink > 0);
+        assert!(
+            sampled >= sampled_before_shrink,
+            "a retired shard's profile must survive: {sampled_before_shrink} -> {sampled}"
+        );
+    }
+    runtime.process_batch(trace(512)).unwrap();
+
+    let snapshot = runtime.metrics_snapshot().unwrap();
+    let counter = |name: &str, labels: &[(&str, &str)]| match snapshot.get(name, labels) {
+        Some(MetricValue::Counter(value)) => *value,
+        other => panic!("{name} {labels:?} must be a counter, got {other:?}"),
+    };
+    let histogram = |name: &str, labels: &[(&str, &str)]| match snapshot.get(name, labels) {
+        Some(MetricValue::Histogram(histogram)) => histogram.clone(),
+        other => panic!("{name} {labels:?} must be a histogram, got {other:?}"),
+    };
+    let latency = runtime.aggregated_latency().unwrap();
+    assert_eq!(
+        histogram("menshen_packet_sojourn_ns", &[]),
+        latency.packet_ns
+    );
+    assert_eq!(latency.packet_ns.count(), 1536);
+    let tenants = runtime.aggregated_tenants().unwrap();
+    let mut ledgers = 0;
+    for (tenant, view) in &tenants {
+        let tenant = tenant.to_string();
+        let tenant = tenant.as_str();
+        assert_eq!(
+            counter("menshen_tenant_forwarded_total", &[("tenant", tenant)]),
+            view.ledger.forwarded
+        );
+        for (reason, count) in view.ledger.drop_reasons() {
+            assert_eq!(
+                counter(
+                    "menshen_tenant_drops_total",
+                    &[("reason", reason), ("tenant", tenant)]
+                ),
+                count
+            );
+        }
+        assert_eq!(
+            histogram("menshen_tenant_sojourn_ns", &[("tenant", tenant)]),
+            view.sojourn_ns
+        );
+        ledgers += view.ledger.total();
+    }
+    let audit = runtime.conservation_audit().unwrap();
+    assert!(audit.is_balanced(), "{audit:?}");
+    assert_eq!(ledgers, audit.ledger_total);
+    assert_eq!(ledgers, 1536);
+    #[cfg(feature = "profiling")]
+    assert_eq!(
+        counter("menshen_stage_samples_total", &[]),
+        runtime.aggregated_profile().unwrap().sampled
+    );
+
+    // Threaded: kill a trafficked worker and recover it.
+    let mut runtime = ShardedRuntime::from_pipeline(
+        &template(),
+        RuntimeOptions::threaded(2)
+            .with_steering(SteeringMode::FiveTuple)
+            .with_submit_wait(Duration::from_millis(200)),
+    );
+    runtime.submit_owned(trace(1024)).unwrap();
+    runtime.flush();
+    let before = runtime.aggregated_latency().unwrap();
+    let victim = 0;
+    let next_burst = runtime.shard_stats()[victim].bursts + 1;
+    runtime.arm_faults(FaultPlan::new().with_worker_panic(victim, next_burst));
+    let mut recovered = Vec::new();
+    for _ in 0..200 {
+        runtime.submit_owned(trace(256)).unwrap();
+        recovered.extend(runtime.supervise());
+        if !recovered.is_empty() {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    runtime.disarm_faults();
+    assert_eq!(recovered.len(), 1, "exactly the scheduled casualty");
+    runtime.flush();
+    let after = runtime.aggregated_latency().unwrap();
+    let delta = after
+        .subtracting(&before)
+        .expect("the casualty's record survives its recovery");
+    assert!(delta.packet_ns.count() > 0);
+    assert!(runtime.conservation_audit().unwrap().is_balanced());
 }
