@@ -12,12 +12,17 @@
 //! Name-resolution sanity (every table/action/register/header referenced is
 //! actually defined) is checked here too, so the backend can assume a
 //! well-formed module.
+//!
+//! [`classify_state_mergeability`] is the source-level view of how a module
+//! runs across shards: stateless or additive state splits per shard, while a
+//! `reg.write` makes it non-mergeable and the sharded runtime replicates it
+//! by digest. The layout caps a parser at one table row of extractions, so
+//! every module the compiler emits digests.
 
 use crate::ast::{Expr, FieldRef, ModuleAst, Statement, TableMatchKind};
 use crate::error::CompileError;
-use crate::layout::{PhvAllocation, SYS_HEADER};
+use crate::layout::SYS_HEADER;
 use crate::Result;
-use menshen_core::{ExecutionMode, DIGEST_MAX_FIELDS};
 
 /// Runs every static check; returns the first violation found.
 pub fn check_module(ast: &ModuleAst) -> Result<()> {
@@ -142,38 +147,6 @@ pub fn classify_state_mergeability(ast: &ModuleAst) -> SourceStateMergeability {
         SourceStateMergeability::Mergeable
     } else {
         SourceStateMergeability::Stateless
-    }
-}
-
-/// Source-level choice of the module's shard execution mode — the same
-/// three-way refinement `menshen_core::ModuleConfig::execution_mode` makes on
-/// the compiled form, decided before spending compilation:
-///
-/// * mergeable or stateless register usage splits per shard (mode
-///   `Mergeable`);
-/// * a `reg.write` makes the state non-mergeable; if the module's compiled
-///   parser would fit a state digest (one parse action per referenced
-///   non-system field, at most [`DIGEST_MAX_FIELDS`]), the runtime can
-///   replicate the state computation on every shard (`Replicated`);
-/// * otherwise the module stays tenant-affine pinned (`Pinned`).
-pub fn classify_execution_mode(ast: &ModuleAst) -> ExecutionMode {
-    match classify_state_mergeability(ast) {
-        SourceStateMergeability::Stateless | SourceStateMergeability::Mergeable => {
-            ExecutionMode::Mergeable
-        }
-        SourceStateMergeability::NonMergeable { .. } => {
-            // The compiled parser carries one parse action per referenced
-            // non-system field — exactly what `PhvAllocation` assigns. A
-            // module whose layout does not even build cannot be replicated.
-            let fields = PhvAllocation::build(ast)
-                .map(|phv| phv.len())
-                .unwrap_or(usize::MAX);
-            if fields <= DIGEST_MAX_FIELDS {
-                ExecutionMode::Replicated
-            } else {
-                ExecutionMode::Pinned
-            }
-        }
     }
 }
 
@@ -438,52 +411,12 @@ module m {{
     }
 
     #[test]
-    fn execution_mode_matches_the_compiled_classification() {
-        use crate::{compile_source, CompileOptions};
-
-        let cases = [
-            ("set_port(2);", ExecutionMode::Mergeable),
-            (
-                "ipv4.dst_addr = reg.count(0); set_port(2);",
-                ExecutionMode::Mergeable,
-            ),
-            // A store with a narrow parser replicates instead of pinning.
-            (
-                "reg.write(0, ipv4.dst_addr); set_port(2);",
-                ExecutionMode::Replicated,
-            ),
-        ];
-        for (body, expected) in cases {
-            let ast = module_with_action(body);
-            assert_eq!(classify_execution_mode(&ast), expected, "body {body}");
-
-            let source = format!(
-                r#"
-module m {{
-    parser {{ extract ipv4; }}
-    state reg[16];
-    table t {{ key = {{ ipv4.dst_addr; }} actions = {{ a; }} }}
-    action a() {{ {body} }}
-    apply {{ t.apply(); }}
-}}
-"#
-            );
-            let compiled =
-                compile_source(&source, &CompileOptions::new(7).with_initial_entries(1)).unwrap();
-            assert_eq!(
-                compiled.config.execution_mode(),
-                expected,
-                "body {body}: source and compiled classifiers must agree"
-            );
-        }
-    }
-
-    #[test]
-    fn wide_parser_pins_a_storing_module() {
+    fn wide_parser_storing_module_digests() {
         // Nine distinct fields (spread over the 2- and 4-byte container
-        // classes so the PHV allocation succeeds): more parse actions than a
-        // digest can carry, so the storing module must stay pinned — in both
-        // the source and the compiled classification.
+        // classes so the PHV allocation succeeds): the storing module is
+        // non-mergeable in both the source and the compiled classification,
+        // and its compiled parser projects into a digest field for field,
+        // so the runtime replicates it.
         let fields: Vec<String> = (0..9)
             .map(|i| format!("f{i} : {};", if i < 5 { 16 } else { 32 }))
             .collect();
@@ -502,11 +435,21 @@ module m {{
             fields.join(" ")
         );
         let ast = parse_module(&source).unwrap();
-        assert_eq!(classify_execution_mode(&ast), ExecutionMode::Pinned);
+        assert!(matches!(
+            classify_state_mergeability(&ast),
+            SourceStateMergeability::NonMergeable { .. }
+        ));
         use crate::{compile_source, CompileOptions};
+        use menshen_core::StateMergeability;
         let compiled =
             compile_source(&source, &CompileOptions::new(7).with_initial_entries(1)).unwrap();
-        assert_eq!(compiled.config.execution_mode(), ExecutionMode::Pinned);
+        assert!(matches!(
+            compiled.config.state_mergeability(),
+            StateMergeability::NonMergeable { .. }
+        ));
+        let spec = compiled.config.digest_spec().unwrap();
+        assert_eq!(spec.fields().len(), 9);
+        assert_eq!(spec.fields().len(), compiled.config.parser.actions.len());
     }
 
     #[test]

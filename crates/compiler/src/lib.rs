@@ -49,9 +49,7 @@ pub mod lexer;
 pub mod parser;
 
 pub use ast::{ActionDecl, Expr, FieldRef, HeaderDecl, ModuleAst, StateDecl, Statement, TableDecl};
-pub use checks::{
-    check_module, classify_execution_mode, classify_state_mergeability, SourceStateMergeability,
-};
+pub use checks::{check_module, classify_state_mergeability, SourceStateMergeability};
 pub use codegen::{compile_ast, table_dependencies, CompileOptions, CompiledModule, CompiledTable};
 pub use error::CompileError;
 pub use layout::{builtin_field, resolve_field, FieldLocation, PhvAllocation};

@@ -1,10 +1,9 @@
 //! Per-packet state digests for State-Compute Replication (SCR).
 //!
 //! A non-mergeable stateful module cannot split its state across shard
-//! replicas (last-writer-wins `store` has no well-defined merge), and until
-//! this layer existed the runtime's only recourse was pinning the whole
-//! tenant to one shard. SCR (arXiv 2309.14647) removes that ceiling by
-//! replicating the state *computation* instead of partitioning the state:
+//! replicas (last-writer-wins `store` has no well-defined merge). SCR
+//! (arXiv 2309.14647) replicates the state *computation* instead of
+//! partitioning the state:
 //! every shard keeps a full copy of the module's stateful words, and for
 //! every packet a shard does **not** receive, it receives a compact
 //! [`StateDigest`] carrying exactly the header fields the module's parser
@@ -20,15 +19,20 @@
 //! A [`DigestSpec`] is therefore just the module's parser projected into a
 //! packet-to-container field list; [`DigestSpec::extract`] mirrors the
 //! parser's wire reads exactly, including the short-packet zero-fill.
+//!
+//! A digest holds as many fields as a parser entry holds actions, and the
+//! pipeline refuses any parser wider than that at load time, so every
+//! loaded module digests.
 
 use menshen_packet::Packet;
 use menshen_rmt::config::ParserEntry;
+use menshen_rmt::params::PARSE_ACTIONS_PER_ENTRY;
 use menshen_rmt::phv::ContainerRef;
 
-/// Maximum parser fields a digest can carry. Modules whose parsers extract
-/// more fields than this fall back to tenant-affine pinning; the cap keeps
+/// Maximum parser fields a digest can carry: one per action of a parser
+/// entry, so any parser the pipeline accepts fits. The cap keeps
 /// [`StateDigest`] a small, `Copy`, allocation-free ring item.
-pub const DIGEST_MAX_FIELDS: usize = 8;
+pub const DIGEST_MAX_FIELDS: usize = PARSE_ACTIONS_PER_ENTRY;
 
 /// One field of a digest spec: where the module's parser reads it from the
 /// wire and which PHV container it lands in.
@@ -50,14 +54,12 @@ pub struct DigestSpec {
 }
 
 impl DigestSpec {
-    /// Builds the spec from a module's parser entry, or `None` if the parser
-    /// extracts more than [`DIGEST_MAX_FIELDS`] fields (such modules stay
-    /// pinned).
-    pub fn from_parser(module: u16, parser: &ParserEntry) -> Option<Self> {
-        if parser.actions.len() > DIGEST_MAX_FIELDS {
-            return None;
-        }
-        Some(DigestSpec {
+    /// Builds the spec from a module's parser entry. Fails only when the
+    /// entry itself is invalid ([`ParserEntry::validate`]): it holds more
+    /// than [`DIGEST_MAX_FIELDS`] actions.
+    pub fn from_parser(module: u16, parser: &ParserEntry) -> menshen_rmt::Result<Self> {
+        parser.validate()?;
+        Ok(DigestSpec {
             module,
             fields: parser
                 .actions
@@ -89,13 +91,14 @@ impl DigestSpec {
             module: self.module,
             before,
             len: self.fields.len() as u8,
-            fields: [(0, 0); DIGEST_MAX_FIELDS],
+            codes: [0; DIGEST_MAX_FIELDS],
+            values: [0; DIGEST_MAX_FIELDS],
         };
-        for (slot, field) in digest.fields.iter_mut().zip(self.fields.iter()) {
-            let value = packet
+        for (index, field) in self.fields.iter().enumerate() {
+            digest.codes[index] = field.container.code();
+            digest.values[index] = packet
                 .read_be(usize::from(field.offset), field.container.width_bytes())
                 .unwrap_or(0);
-            *slot = (field.container.code(), value);
         }
         digest
     }
@@ -110,8 +113,11 @@ pub struct StateDigest {
     module: u16,
     before: u32,
     len: u8,
-    /// `(container code, value)` pairs; only the first `len` are meaningful.
-    fields: [(u8, u64); DIGEST_MAX_FIELDS],
+    /// Container codes; only the first `len` are meaningful. Kept apart
+    /// from `values` so a full-width digest packs without per-field padding.
+    codes: [u8; DIGEST_MAX_FIELDS],
+    /// The field values, paired with `codes` by index.
+    values: [u64; DIGEST_MAX_FIELDS],
 }
 
 impl StateDigest {
@@ -127,14 +133,18 @@ impl StateDigest {
     }
 
     /// The populated `(container code, value)` pairs.
-    pub fn fields(&self) -> &[(u8, u64)] {
-        &self.fields[..usize::from(self.len)]
+    pub fn fields(&self) -> impl ExactSizeIterator<Item = (u8, u64)> + '_ {
+        let len = usize::from(self.len);
+        self.codes[..len]
+            .iter()
+            .copied()
+            .zip(self.values[..len].iter().copied())
     }
 
     /// The modelled wire cost of shipping this digest, in bytes: a 7-byte
     /// header (module + interleave point + field count) plus 9 bytes per
-    /// field (container code + 64-bit value). This is the explicit
-    /// digest-overhead knob the benches record as bytes/packet.
+    /// field (container code + 64-bit value) — the digest overhead the
+    /// benchmark records as bytes/packet.
     pub fn wire_bytes(&self) -> usize {
         7 + 9 * usize::from(self.len)
     }
@@ -166,11 +176,27 @@ mod tests {
 
     #[test]
     fn oversized_parsers_are_rejected() {
-        let actions: Vec<ParseAction> = (0..9)
+        let mut actions: Vec<ParseAction> = (0..DIGEST_MAX_FIELDS as u8)
             .map(|i| ParseAction::new(14 + 2 * i, C::h2(i % 8)).unwrap())
             .collect();
-        let parser = ParserEntry::new(actions).unwrap();
-        assert!(DigestSpec::from_parser(1, &parser).is_none());
+        let full = ParserEntry::new(actions.clone()).unwrap();
+        let spec = DigestSpec::from_parser(1, &full).unwrap();
+        assert_eq!(spec.fields().len(), PARSE_ACTIONS_PER_ENTRY);
+        // Only a parser no pipeline would accept fails to digest, with the
+        // entry's own error.
+        actions.push(ParseAction::new(60, C::h2(0)).unwrap());
+        let wide = ParserEntry { actions };
+        assert_eq!(
+            DigestSpec::from_parser(1, &wide),
+            Err(wide.validate().unwrap_err())
+        );
+    }
+
+    #[test]
+    fn full_width_digest_stays_a_small_ring_item() {
+        // Digests ride the shard rings by value: ten fields plus the header
+        // must stay a small, cache-friendly ring item.
+        assert!(std::mem::size_of::<StateDigest>() <= 168);
     }
 
     #[test]
@@ -181,11 +207,12 @@ mod tests {
         let digest = spec.extract(&packet, 3);
         assert_eq!(digest.module(), 9);
         assert_eq!(digest.before(), 3);
-        assert_eq!(digest.fields().len(), 2);
         let want4 = packet.read_be(34, 4).unwrap();
         let want2 = packet.read_be(40, 2).unwrap();
-        assert_eq!(digest.fields()[0], (C::h4(1).code(), want4));
-        assert_eq!(digest.fields()[1], (C::h2(0).code(), want2));
+        assert_eq!(
+            digest.fields().collect::<Vec<_>>(),
+            [(C::h4(1).code(), want4), (C::h2(0).code(), want2)]
+        );
         assert_eq!(digest.wire_bytes(), 7 + 2 * 9);
     }
 
@@ -195,6 +222,6 @@ mod tests {
         let spec = DigestSpec::from_parser(9, &wide).unwrap();
         let packet = PacketBuilder::udp_data(9, [10, 0, 0, 1], [10, 0, 0, 2], 1, 2, &[]);
         let digest = spec.extract(&packet, 0);
-        assert_eq!(digest.fields(), &[(C::h6(0).code(), 0)]);
+        assert_eq!(digest.fields().collect::<Vec<_>>(), [(C::h6(0).code(), 0)]);
     }
 }

@@ -67,8 +67,8 @@ pub use metrics::{
     TenantTelemetry, VerdictLedger,
 };
 pub use module::{
-    ExecutionMode, LpmMatchRule, MatchRule, ModuleConfig, ModuleId, RangeMatchRule,
-    ResourceAllocation, StageModuleConfig, StateMergeability, TableRule,
+    LpmMatchRule, MatchRule, ModuleConfig, ModuleId, RangeMatchRule, ResourceAllocation,
+    StageModuleConfig, StateMergeability, TableRule,
 };
 pub use overlay::OverlayTable;
 pub use packet_filter::{FilterDecision, PacketFilter};

@@ -8,6 +8,7 @@ use crate::digest::DigestSpec;
 use menshen_rmt::action::{AluOp, VliwAction};
 use menshen_rmt::config::{KeyExtractEntry, KeyMask, ParserEntry};
 use menshen_rmt::match_table::{LookupKey, MatchKind};
+use menshen_rmt::params::PARSE_ACTIONS_PER_ENTRY;
 
 /// A module identifier: the 12-bit VLAN ID carried by the module's packets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -60,7 +61,7 @@ impl ResourceAllocation {
         ResourceAllocation {
             match_entries_per_stage: vec![match_entries; stages],
             stateful_words_per_stage: vec![stateful_words; stages],
-            phv_containers: 10,
+            phv_containers: PARSE_ACTIONS_PER_ENTRY,
         }
     }
 
@@ -228,12 +229,14 @@ impl ModuleConfig {
     /// actually receives.
     ///
     /// Under 5-tuple RSS steering one tenant's flows spread over all shards
-    /// and each shard updates its *own copy* of the module's stateful words
-    /// (State-Compute Replication). That is semantics-preserving only when
-    /// every update is additive, so per-shard copies merge exactly by
-    /// summation: `loadd` (read-add-write) qualifies; `store` (overwrite
-    /// with a packet-derived value) does not — the merged value of
-    /// last-writer-wins state is undefined.
+    /// and each shard updates its *own copy* of the module's stateful words.
+    /// Per-shard copies merge exactly by summation only when every update is
+    /// additive: `loadd` (read-add-write) qualifies; `store` (overwrite with
+    /// a packet-derived value) does not — the merged value of
+    /// last-writer-wins state is undefined. The sharded runtime therefore
+    /// *replicates* non-mergeable modules: every shard keeps a full copy and
+    /// replays per-packet [`DigestSpec`] digests of the packets it does not
+    /// receive (State-Compute Replication).
     pub fn state_mergeability(&self) -> StateMergeability {
         let mut touches_state = false;
         for (stage, config) in self.stages.iter().enumerate() {
@@ -263,35 +266,12 @@ impl ModuleConfig {
         }
     }
 
-    /// The per-module state-digest recipe, or `None` when the parser extracts
-    /// more fields than a digest can carry. Derived entirely from the parser
+    /// The per-module state-digest recipe. Derived entirely from the parser
     /// entry because every input the module's matching and ALUs can observe
-    /// arrives through a parser-filled PHV container.
-    pub fn digest_spec(&self) -> Option<DigestSpec> {
+    /// arrives through a parser-filled PHV container; fails only on a parser
+    /// the pipeline would refuse to load ([`ParserEntry::validate`]).
+    pub fn digest_spec(&self) -> menshen_rmt::Result<DigestSpec> {
         DigestSpec::from_parser(self.module_id.value(), &self.parser)
-    }
-
-    /// Chooses how this module executes across shard replicas — the load-time
-    /// refinement of [`ModuleConfig::state_mergeability`]:
-    ///
-    /// * mergeable (or stateless) state splits per shard and merges by
-    ///   summation, so the module runs everywhere with no extra machinery;
-    /// * non-mergeable state is *replicated*: every shard keeps a full copy
-    ///   and the dispatcher broadcasts per-packet [`DigestSpec`] digests so
-    ///   all copies advance identically (State-Compute Replication);
-    /// * pinning — the old single-shard regime — remains as the fallback for
-    ///   modules whose parsers are too wide to digest.
-    pub fn execution_mode(&self) -> ExecutionMode {
-        match self.state_mergeability() {
-            StateMergeability::Stateless | StateMergeability::Mergeable => ExecutionMode::Mergeable,
-            StateMergeability::NonMergeable { .. } => {
-                if self.digest_spec().is_none() {
-                    ExecutionMode::Pinned
-                } else {
-                    ExecutionMode::Replicated
-                }
-            }
-        }
     }
 }
 
@@ -320,31 +300,15 @@ pub enum StateMergeability {
     /// Every stateful update is additive (`loadd`); per-shard copies merge
     /// exactly by summation.
     Mergeable,
-    /// At least one action overwrites stateful memory; replicated copies
-    /// cannot be merged into a well-defined value.
+    /// At least one action overwrites stateful memory; per-shard copies
+    /// cannot be merged into a well-defined value, so the sharded runtime
+    /// replicates the module by digest instead.
     NonMergeable {
         /// The stage holding the offending rule.
         stage: usize,
         /// Which rule and why.
         detail: String,
     },
-}
-
-/// How a module's state executes across shard replicas under 5-tuple
-/// steering — the three-way refinement of [`StateMergeability`] chosen at
-/// load time. See [`ModuleConfig::execution_mode`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecutionMode {
-    /// State is absent or additive: shards keep independent partial copies
-    /// that merge exactly by summation.
-    Mergeable,
-    /// Non-mergeable state owned by exactly one shard; all of the tenant's
-    /// traffic is steered there and resizes migrate the single copy.
-    Pinned,
-    /// Non-mergeable state replicated on every shard, kept bit-identical by
-    /// replaying dispatcher-broadcast packet digests (State-Compute
-    /// Replication); any replica's snapshot is authoritative.
-    Replicated,
 }
 
 #[cfg(test)]
@@ -411,40 +375,6 @@ mod tests {
             }
             other => panic!("expected NonMergeable, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn execution_mode_refines_mergeability() {
-        use menshen_rmt::action::AluInstruction;
-        use menshen_rmt::config::ParseAction;
-        use menshen_rmt::phv::ContainerRef as C;
-
-        let mut config = ModuleConfig::empty(ModuleId::new(1), "m", 3);
-        assert_eq!(config.execution_mode(), ExecutionMode::Mergeable);
-
-        config.stages[0].rules.push(MatchRule {
-            key: LookupKey::default(),
-            action: VliwAction::nop().with(C::h4(7), AluInstruction::loadd(0)),
-        });
-        assert_eq!(config.execution_mode(), ExecutionMode::Mergeable);
-
-        // A store makes the module non-mergeable; with a digestible parser it
-        // replicates instead of pinning.
-        config.stages[0].rules.push(MatchRule {
-            key: LookupKey::default(),
-            action: VliwAction::nop().with(C::h4(3), AluInstruction::store(C::h4(1), 4)),
-        });
-        assert_eq!(config.execution_mode(), ExecutionMode::Replicated);
-
-        // A parser too wide to digest falls back to pinning.
-        config.parser = ParserEntry::new(
-            (0..9)
-                .map(|i| ParseAction::new(14 + 2 * i, C::h2(i % 8)).unwrap())
-                .collect(),
-        )
-        .unwrap();
-        assert!(config.digest_spec().is_none());
-        assert_eq!(config.execution_mode(), ExecutionMode::Pinned);
     }
 
     #[test]

@@ -45,8 +45,7 @@
 use crate::digest::{DigestSpec, StateDigest};
 use crate::error::CoreError;
 use crate::module::{
-    ExecutionMode, LpmMatchRule, ModuleConfig, ModuleId, RangeMatchRule, StateMergeability,
-    TableRule,
+    LpmMatchRule, ModuleConfig, ModuleId, RangeMatchRule, StateMergeability, TableRule,
 };
 use crate::overlay::OverlayTable;
 use crate::packet_filter::{FilterDecision, PacketFilter, RECONFIG_BITMAP_SLOTS};
@@ -625,31 +624,13 @@ impl MenshenPipeline {
     }
 
     /// The digest recipe for a *loaded* module, built from the parser entry
-    /// actually installed in its overlay slot. `None` if the module is not
-    /// loaded or its parser extracts more fields than a digest can carry.
+    /// actually installed in its overlay slot. `None` only if the module is
+    /// not loaded: every installed parser fits one table row, and so a
+    /// digest.
     pub fn module_digest_spec(&self, module: ModuleId) -> Option<DigestSpec> {
         let runtime = self.modules.get(&module.value())?;
         let parser = self.parser_table.read(runtime.slot)?;
-        DigestSpec::from_parser(module.value(), parser)
-    }
-
-    /// Chooses how a *loaded* module executes across shard replicas — the
-    /// installed-form counterpart of [`ModuleConfig::execution_mode`], driven
-    /// by [`module_state_mergeability`](Self::module_state_mergeability) and
-    /// the installed parser's digestibility. Returns `None` if the module is
-    /// not loaded.
-    pub fn module_execution_mode(&self, module: ModuleId) -> Option<ExecutionMode> {
-        let mergeability = self.module_state_mergeability(module)?;
-        Some(match mergeability {
-            StateMergeability::Stateless | StateMergeability::Mergeable => ExecutionMode::Mergeable,
-            StateMergeability::NonMergeable { .. } => {
-                if self.module_digest_spec(module).is_none() {
-                    ExecutionMode::Pinned
-                } else {
-                    ExecutionMode::Replicated
-                }
-            }
-        })
+        DigestSpec::from_parser(module.value(), parser).ok()
     }
 
     // -----------------------------------------------------------------------
@@ -776,18 +757,7 @@ impl MenshenPipeline {
                 module_id: module_id.value(),
             });
         }
-        if config.stages.len() > self.params.num_stages {
-            return Err(CoreError::Rmt(
-                menshen_rmt::RmtError::TableIndexOutOfRange {
-                    table: "pipeline stages",
-                    index: config.stages.len(),
-                    depth: self.params.num_stages,
-                },
-            ));
-        }
-        for (stage_idx, stage_cfg) in config.stages.iter().enumerate() {
-            Self::check_stage_config(stage_idx, stage_cfg)?;
-        }
+        self.check_module_config(config)?;
         let slot =
             self.slots
                 .iter()
@@ -901,8 +871,32 @@ impl MenshenPipeline {
         }
     }
 
+    /// The static checks a configuration must pass before any resource is
+    /// allocated or, on an update, before the running program is removed:
+    /// it spans at most the pipeline's stages, each stage's rule lists fit
+    /// its match kind, and the parser and deparser entries each fit one
+    /// table row ([`ParserEntry::validate`](menshen_rmt::ParserEntry::validate))
+    /// — which is also what makes every loaded parser digestible.
+    pub fn check_module_config(&self, config: &ModuleConfig) -> Result<()> {
+        if config.stages.len() > self.params.num_stages {
+            return Err(CoreError::Rmt(
+                menshen_rmt::RmtError::TableIndexOutOfRange {
+                    table: "pipeline stages",
+                    index: config.stages.len(),
+                    depth: self.params.num_stages,
+                },
+            ));
+        }
+        for (stage_idx, stage_cfg) in config.stages.iter().enumerate() {
+            Self::check_stage_config(stage_idx, stage_cfg)?;
+        }
+        config.parser.validate()?;
+        config.deparser.validate()?;
+        Ok(())
+    }
+
     /// Static consistency checks between a stage's match kind and the rule
-    /// lists it carries, performed before any resource is allocated.
+    /// lists it carries.
     fn check_stage_config(
         stage_idx: usize,
         stage_cfg: &crate::module::StageModuleConfig,
@@ -962,7 +956,9 @@ impl MenshenPipeline {
 
     /// Updates an already-loaded module with a new configuration. The module's
     /// packets are dropped while the update streams in (the Figure 10
-    /// experiment); other modules keep forwarding throughout.
+    /// experiment); other modules keep forwarding throughout. A
+    /// configuration that fails [`check_module_config`](Self::check_module_config)
+    /// is refused before the running program is touched.
     pub fn update_module(&mut self, config: &ModuleConfig) -> Result<LoadReport> {
         let module_id = config.module_id;
         if !self.modules.contains_key(&module_id.value()) {
@@ -970,6 +966,7 @@ impl MenshenPipeline {
                 module_id: module_id.value(),
             });
         }
+        self.check_module_config(config)?;
         // The prototype reconfigures by rewriting the module's entries; the
         // simplest faithful model is unload + load preserving the counters.
         let counters = self.modules[&module_id.value()].counters;
@@ -1514,7 +1511,7 @@ impl MenshenPipeline {
         let mut phv = std::mem::take(&mut self.batch.phv);
         phv.reset();
         phv.module_id = module_id;
-        for &(code, value) in digest.fields() {
+        for (code, value) in digest.fields() {
             if let Ok(container) = ContainerRef::from_code(code) {
                 phv.set(container, value);
             }
@@ -2044,6 +2041,36 @@ mod tests {
             .is_none());
     }
 
+    #[test]
+    fn load_refuses_entries_wider_than_a_table_row() {
+        // `actions` is public, so an entry can be widened past the row
+        // without `ParserEntry::new`; encoding it would silently drop the
+        // tail. The load refuses it before taking a slot.
+        let mut pipeline = MenshenPipeline::new(TABLE5);
+        let free = pipeline.free_slots();
+        let row = menshen_rmt::params::PARSE_ACTIONS_PER_ENTRY;
+        let mut config = simple_module(1, 0x0a00_0002, 1111);
+        let first = config.parser.actions[0];
+        config.parser.actions.resize(row + 1, first);
+        let overflow = CoreError::Rmt(menshen_rmt::RmtError::FieldOverflow {
+            field: "parser entry action count",
+        });
+        assert_eq!(pipeline.load_module(&config), Err(overflow.clone()));
+        config.parser.actions.truncate(2);
+        config.deparser.actions.resize(row + 1, first);
+        assert_eq!(pipeline.load_module(&config), Err(overflow));
+        assert_eq!(pipeline.free_slots(), free);
+        assert!(pipeline.loaded_modules().is_empty());
+
+        // A full row loads whole: the installed entry keeps all ten
+        // actions, and so does the digest built from it.
+        config.deparser.actions.truncate(1);
+        config.parser.actions.resize(row, first);
+        pipeline.load_module(&config).unwrap();
+        let spec = pipeline.module_digest_spec(ModuleId::new(1)).unwrap();
+        assert_eq!(spec.fields().len(), row);
+    }
+
     /// `simple_module` with the loadd swapped for a `store` of the matched
     /// dst IP — the canonical non-mergeable (last-writer-wins) program.
     fn storing_module(module_id: u16, dst_ip: u32, rewrite_port: u16) -> ModuleConfig {
@@ -2052,42 +2079,6 @@ mod tests {
             .with(C::h2(0), AluInstruction::set(rewrite_port))
             .with(C::h4(7), AluInstruction::store(C::h4(1), 2));
         config
-    }
-
-    #[test]
-    fn loaded_module_execution_mode_matches_the_config_classification() {
-        let mut pipeline = MenshenPipeline::new(TABLE5);
-        let additive = simple_module(1, 0x0a00_0002, 1111);
-        let storing = storing_module(2, 0x0a00_0002, 2222);
-        // A parser wider than a digest can carry cannot replicate; repeating
-        // its last extraction changes nothing else about the program.
-        let mut pinned = storing_module(3, 0x0a00_0002, 3333);
-        let last = *pinned.parser.actions.last().unwrap();
-        pinned
-            .parser
-            .actions
-            .resize(crate::DIGEST_MAX_FIELDS + 1, last);
-        for config in [&additive, &storing, &pinned] {
-            pipeline.load_module(config).unwrap();
-            assert_eq!(
-                pipeline.module_execution_mode(config.module_id),
-                Some(config.execution_mode()),
-                "module {}",
-                config.module_id
-            );
-        }
-        assert_eq!(
-            pipeline.module_execution_mode(ModuleId::new(2)),
-            Some(ExecutionMode::Replicated)
-        );
-        assert_eq!(
-            pipeline.module_execution_mode(ModuleId::new(3)),
-            Some(ExecutionMode::Pinned),
-            "an undigestible parser falls back to pinning"
-        );
-        assert!(pipeline.module_execution_mode(ModuleId::new(99)).is_none());
-        let spec = pipeline.module_digest_spec(ModuleId::new(2)).unwrap();
-        assert_eq!(spec.fields().len(), 2, "spec mirrors the installed parser");
     }
 
     #[test]

@@ -73,14 +73,25 @@ pub struct ParserEntry {
 }
 
 impl ParserEntry {
-    /// Creates an entry, enforcing the 10-action limit.
+    /// Creates an entry, enforcing the 10-action limit
+    /// ([`validate`](Self::validate)).
     pub fn new(actions: Vec<ParseAction>) -> Result<Self> {
-        if actions.len() > PARSE_ACTIONS_PER_ENTRY {
+        let entry = ParserEntry { actions };
+        entry.validate()?;
+        Ok(entry)
+    }
+
+    /// Checks that the entry fits one table row: at most
+    /// [`PARSE_ACTIONS_PER_ENTRY`] actions. `actions` is public, so loaders
+    /// re-check entries built without [`new`](Self::new); an entry that
+    /// passes encodes without loss.
+    pub fn validate(&self) -> Result<()> {
+        if self.actions.len() > PARSE_ACTIONS_PER_ENTRY {
             return Err(RmtError::FieldOverflow {
                 field: "parser entry action count",
             });
         }
-        Ok(ParserEntry { actions })
+        Ok(())
     }
 
     /// Encodes the entry as 10 × 16-bit words (160 bits), unused slots zero.
@@ -447,7 +458,17 @@ mod tests {
         let too_many: Vec<_> = (0..11)
             .map(|i| ParseAction::new(i, ContainerRef::h2(0)).unwrap())
             .collect();
-        assert!(ParserEntry::new(too_many).is_err());
+        assert!(ParserEntry::new(too_many.clone()).is_err());
+        // The same rule catches an entry built through the public field.
+        let mut widened = entry;
+        assert!(widened.validate().is_ok());
+        widened.actions = too_many;
+        assert_eq!(
+            widened.validate(),
+            Err(RmtError::FieldOverflow {
+                field: "parser entry action count"
+            })
+        );
     }
 
     #[test]

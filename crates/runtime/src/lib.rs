@@ -43,15 +43,13 @@
 //!   the compacted log or retire them (`Retire`), replay the state into its
 //!   new owners (`InjectState`), and publish the new RETA — all at a full
 //!   quiesce, so no packet ever observes a half-moved tenant. Under 5-tuple
-//!   steering a non-mergeable stateful program runs in one of two regimes:
-//!   **replicated** by default (state-compute replication — the dispatcher
-//!   broadcasts a per-packet state digest to every non-owning shard, whose
-//!   replica replays it on the match-action path so all copies advance in
-//!   lockstep; resize seeds new replicas from any live copy, and
-//!   `supervise()` reseeds a respawned one from a live peer), or **pinned**
-//!   tenant-affine when its parser is not digestible
-//!   ([`Steerer::pin_module`]) — single-owner and
-//!   migratable, at the price of one shard carrying the whole tenant.
+//!   steering a non-mergeable stateful program is **replicated**
+//!   (state-compute replication, [`Steerer::set_replicated`]): the
+//!   dispatcher broadcasts a per-packet state digest to every non-owning
+//!   shard, whose replica replays it on the match-action path so all copies
+//!   advance in lockstep; resize seeds new replicas from any live copy, and
+//!   `supervise()` reseeds a respawned one from a live peer. Every parser
+//!   the pipeline accepts fits a digest, so no program needs a single owner.
 //! * [`shard`] — the shard and dispatcher thread bodies, the cross-thread
 //!   progress board, and [`ShardTelemetry`], the one telemetry record every
 //!   aggregate merges.

@@ -27,13 +27,12 @@
 //! one tenant's flows over all shards the way a NIC spreads connections over
 //! cores. Per-flow relative order is still preserved and aggregated counters
 //! still sum correctly. For *stateful* programs the steerer then supports
-//! three regimes per module: mergeable state spreads freely (per-shard
-//! copies sum exactly), non-mergeable state is either **pinned**
-//! tenant-affine (single owner, migrated on resize) or — when the module's
-//! parser projects into a compact digest — **replicated** via
-//! State-Compute Replication: its flows spread like any other traffic while
-//! the dispatch plane broadcasts per-packet state digests so every shard
-//! replays the module's state transitions in the same global order.
+//! two regimes per module: mergeable state spreads freely (per-shard copies
+//! sum exactly), and non-mergeable state is **replicated** via State-Compute
+//! Replication: its flows spread like any other traffic while the dispatch
+//! plane broadcasts per-packet state digests so every shard replays the
+//! module's state transitions in the same global order. Every loaded
+//! parser projects into a digest, so no module needs a single owner.
 
 use menshen_core::DigestSpec;
 use menshen_packet::Packet;
@@ -149,7 +148,7 @@ impl RssHasher {
 /// Which flow identifiers steer a packet to a shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SteeringMode {
-    /// Hash the module ID (VLAN tag) only: every tenant is pinned to one
+    /// Hash the module ID (VLAN tag) only: every tenant lands on one
     /// shard, so stateful programs and per-module counters stay shard-local
     /// and the sharded runtime is exactly equivalent to a single pipeline.
     #[default]
@@ -171,16 +170,10 @@ pub enum SteeringMode {
 ///   a new shard count or replaced wholesale, exactly like writing a NIC's
 ///   indirection table at runtime. The sharded runtime publishes rewrites
 ///   only at a full quiesce, after migrating the moving tenants' state.
-/// * **Module pinning** ([`pin_module`](Self::pin_module)): under 5-tuple
-///   steering, a pinned module's packets are steered by the *tenant* hash
-///   instead — all of its traffic lands on one shard, giving it exactly one
-///   live copy of its stateful memory. Pinning is the fallback for
-///   non-mergeable modules whose parsers are too wide to digest; pinned
-///   state is *migrated* single-owner on RETA changes.
 /// * **State-compute replication**
 ///   ([`set_replicated`](Self::set_replicated)): a non-mergeable module
-///   whose parser projects into a compact [`DigestSpec`] spreads its flows
-///   like any other traffic. The dispatcher consults
+///   spreads its flows like any other traffic, described by the compact
+///   [`DigestSpec`] its parser projects into. The dispatcher consults
 ///   [`digest_spec_for`](Self::digest_spec_for) per packet and broadcasts a
 ///   state digest to every non-owning shard, and
 ///   [`dispatcher_for`](Self::dispatcher_for) routes *all* of the module's
@@ -192,9 +185,6 @@ pub struct Steerer {
     mode: SteeringMode,
     reta: [u16; RETA_SIZE],
     shards: usize,
-    /// Modules steered tenant-affine even in 5-tuple mode (single-owner
-    /// state). Empty in tenant-affine mode, where every module already is.
-    pinned: std::collections::HashSet<u16>,
     /// Modules running replicated under State-Compute Replication, with the
     /// digest spec the dispatch plane extracts per packet. Their flows
     /// spread; their state digests broadcast. Empty in tenant-affine mode.
@@ -211,7 +201,6 @@ impl Steerer {
             mode,
             reta: Self::round_robin_reta(shards),
             shards,
-            pinned: std::collections::HashSet::new(),
             replicated: HashMap::new(),
         }
     }
@@ -261,35 +250,15 @@ impl Steerer {
         self.reta = reta;
     }
 
-    /// Pins `module` to tenant-affine steering (single-owner state) even in
-    /// 5-tuple mode. Returns true if the pin set changed.
-    pub fn pin_module(&mut self, module: u16) -> bool {
-        self.pinned.insert(module)
-    }
-
-    /// Clears a module's pin. Returns true if the pin set changed.
-    pub fn unpin_module(&mut self, module: u16) -> bool {
-        self.pinned.remove(&module)
-    }
-
-    /// True when `module` steers tenant-affine regardless of the mode.
-    pub fn is_pinned(&self, module: u16) -> bool {
-        self.pinned.contains(&module)
-    }
-
-    /// The pinned modules, sorted (telemetry/test surface).
-    pub fn pinned_modules(&self) -> Vec<u16> {
-        let mut pinned: Vec<u16> = self.pinned.iter().copied().collect();
-        pinned.sort_unstable();
-        pinned
-    }
-
     /// Marks `module` as replicated under State-Compute Replication: its
     /// flows spread by the 5-tuple hash while the dispatch plane extracts
     /// `spec` digests from its packets and broadcasts them to every
-    /// non-owning shard. Returns true if the entry changed.
+    /// non-owning shard. Returns true if the entry changed — including an
+    /// update that only changes the spec, which dispatchers must pick up.
     pub fn set_replicated(&mut self, module: u16, spec: Arc<DigestSpec>) -> bool {
-        self.replicated.insert(module, spec).is_none()
+        let changed = self.replicated.get(&module) != Some(&spec);
+        self.replicated.insert(module, spec);
+        changed
     }
 
     /// Clears a module's replicated entry. Returns true if it existed.
@@ -298,7 +267,7 @@ impl Steerer {
     }
 
     /// True when `module` runs replicated (digest-broadcast) rather than
-    /// pinned or plain-mergeable.
+    /// plain-mergeable.
     pub fn is_replicated(&self, module: u16) -> bool {
         self.replicated.contains_key(&module)
     }
@@ -341,16 +310,13 @@ impl Steerer {
         self.hasher.hash(&module.to_be_bytes())
     }
 
-    /// The shard that owns all of `module`'s traffic, when the module is
-    /// single-owner under the current steering (tenant-affine mode, or a
-    /// pinned module in 5-tuple mode); `None` when the module's flows spread
+    /// The shard that owns all of `module`'s traffic under tenant-affine
+    /// steering; `None` in 5-tuple mode, where every module's flows spread
     /// over shards.
     pub fn owner_shard(&self, module: u16) -> Option<usize> {
         match self.mode {
             SteeringMode::TenantAffine => Some(self.shard_for_hash(self.tenant_hash(module))),
-            SteeringMode::FiveTuple => self
-                .is_pinned(module)
-                .then(|| self.shard_for_hash(self.tenant_hash(module))),
+            SteeringMode::FiveTuple => None,
         }
     }
 
@@ -367,9 +333,7 @@ impl Steerer {
     }
 
     /// The Toeplitz hash of `packet`'s steering fields under the current
-    /// mode — the value whose low bits index the RETA. In 5-tuple mode a
-    /// packet belonging to a *pinned* module hashes its tenant identity
-    /// instead, so all of the module's traffic shares one RETA entry.
+    /// mode — the value whose low bits index the RETA.
     pub fn flow_hash(&self, packet: &Packet) -> u32 {
         let mut buf = [0u8; MAX_HASH_INPUT];
         let len = match self.mode {
@@ -380,16 +344,7 @@ impl Steerer {
                 }
                 Err(_) => self.five_tuple_into(packet, &mut buf),
             },
-            SteeringMode::FiveTuple => {
-                if !self.pinned.is_empty() {
-                    if let Ok(vid) = packet.vlan_id() {
-                        if self.pinned.contains(&vid.value()) {
-                            return self.tenant_hash(vid.value());
-                        }
-                    }
-                }
-                self.five_tuple_into(packet, &mut buf)
-            }
+            SteeringMode::FiveTuple => self.five_tuple_into(packet, &mut buf),
         };
         self.hasher.hash(&buf[..len])
     }
@@ -719,52 +674,6 @@ mod tests {
     }
 
     #[test]
-    fn pinned_modules_steer_tenant_affine_under_five_tuple() {
-        let mut steerer = Steerer::new(SteeringMode::FiveTuple, 8);
-        // Unpinned: flows of module 7 spread.
-        let flows: Vec<Packet> = (0..64u16)
-            .map(|flow| {
-                PacketBuilder::udp_data(
-                    7,
-                    [10, 0, 0, (1 + flow % 200) as u8],
-                    [10, 0, 1, 1],
-                    1024 + flow,
-                    80,
-                    &[],
-                )
-            })
-            .collect();
-        let spread: std::collections::HashSet<usize> =
-            flows.iter().map(|p| steerer.shard_for(p)).collect();
-        assert!(spread.len() > 1, "unpinned flows must spread");
-        assert_eq!(steerer.owner_shard(7), None);
-
-        // Pinned: every flow of module 7 lands on the tenant-affine owner,
-        // which matches what tenant-affine mode would pick.
-        assert!(steerer.pin_module(7));
-        assert!(!steerer.pin_module(7), "already pinned");
-        assert!(steerer.is_pinned(7));
-        assert_eq!(steerer.pinned_modules(), vec![7]);
-        let owner = steerer.owner_shard(7).expect("pinned modules are owned");
-        let affine = Steerer::new(SteeringMode::TenantAffine, 8);
-        assert_eq!(owner, affine.owner_shard(7).unwrap());
-        for packet in &flows {
-            assert_eq!(steerer.shard_for(packet), owner);
-        }
-        // Other modules keep spreading.
-        let other = PacketBuilder::udp_data(8, [10, 0, 0, 9], [10, 0, 1, 1], 2000, 80, &[]);
-        assert_eq!(
-            steerer.flow_hash(&other),
-            Steerer::new(SteeringMode::FiveTuple, 8).flow_hash(&other)
-        );
-        // Unpinning restores the spread.
-        assert!(steerer.unpin_module(7));
-        let spread_again: std::collections::HashSet<usize> =
-            flows.iter().map(|p| steerer.shard_for(p)).collect();
-        assert_eq!(spread, spread_again);
-    }
-
-    #[test]
     fn replicated_modules_spread_shards_but_share_a_dispatcher() {
         use menshen_rmt::config::{ParseAction, ParserEntry};
         use menshen_rmt::phv::ContainerRef;
@@ -776,6 +685,12 @@ mod tests {
         ])
         .unwrap();
         let spec = Arc::new(DigestSpec::from_parser(7, &parser).unwrap());
+        assert!(steerer.set_replicated(7, Arc::clone(&spec)));
+        assert!(!steerer.set_replicated(7, Arc::clone(&spec)), "unchanged");
+        // An update that only narrows the parser changes the entry.
+        let narrow = ParserEntry::new(parser.actions[..1].to_vec()).unwrap();
+        let narrow = Arc::new(DigestSpec::from_parser(7, &narrow).unwrap());
+        assert!(steerer.set_replicated(7, narrow));
         assert!(steerer.set_replicated(7, Arc::clone(&spec)));
         assert!(steerer.is_replicated(7));
         assert_eq!(steerer.replicated_modules(), vec![7]);

@@ -53,10 +53,9 @@ use crate::shard::{
     EgressSink, RingDepth, ShardBurst, ShardProgress, ShardSnapshot, ShardStats, ShardTelemetry,
     Shared,
 };
-use menshen_core::ExecutionMode as ModuleExecutionMode;
-use menshen_core::StateDigest;
 use menshen_core::TableRule;
 use menshen_core::{labels, MetricsSnapshot, StageProfile, TenantTelemetry, PROFILE_PHASES};
+use menshen_core::{CoreError, StateDigest, StateMergeability};
 use menshen_core::{MenshenPipeline, ModuleConfig, ModuleCounters, ModuleId, ReconfigCommand};
 use menshen_core::{ModuleState, SystemStats, Verdict, BURST_SIZE};
 use menshen_json::Json;
@@ -224,6 +223,10 @@ pub enum RuntimeError {
         /// What was wrong with the request.
         message: String,
     },
+    /// A load or update failed the pipeline's static checks
+    /// ([`MenshenPipeline::check_module_config`]) and was refused before any
+    /// steering change or epoch.
+    Rejected(CoreError),
     /// An epoch wait exceeded its configured deadline
     /// ([`ShardedRuntime::set_control_timeout`] /
     /// [`ShardedRuntime::wait_for_epoch_deadline`]): at least one live shard
@@ -254,6 +257,7 @@ impl std::fmt::Display for RuntimeError {
             RuntimeError::InvalidResize { message } => {
                 write!(f, "invalid resize request: {message}")
             }
+            RuntimeError::Rejected(error) => write!(f, "module refused: {error}"),
             RuntimeError::EpochTimeout { epoch, waited } => {
                 write!(
                     f,
@@ -683,14 +687,11 @@ impl ShardedRuntime {
     /// modules and routing state, zeroed counters and stateful memory.
     ///
     /// Templates containing stateful modules whose state is *not* mergeable
-    /// are legal under 5-tuple steering, in one of two regimes chosen by
-    /// [`MenshenPipeline::module_execution_mode`]: digestible programs are
-    /// **replicated** ([`Steerer::set_replicated`]) — every shard keeps a
-    /// bit-identical copy of the state, kept in sync by per-packet state
-    /// digests broadcast from the dispatch plane — while non-digestible
-    /// programs are **pinned** to tenant-affine steering
-    /// ([`Steerer::pin_module`]), so exactly one shard owns each one's
-    /// state and live resharding migrates that copy when the RETA changes.
+    /// ([`MenshenPipeline::module_state_mergeability`]) are legal under
+    /// 5-tuple steering: such programs are **replicated**
+    /// ([`Steerer::set_replicated`]) — every shard keeps a bit-identical
+    /// copy of the state, kept in sync by per-packet state digests broadcast
+    /// from the dispatch plane.
     pub fn from_pipeline(template: &MenshenPipeline, options: RuntimeOptions) -> Self {
         assert!(options.shards >= 1, "at least one shard is required");
         assert!(options.burst_size >= 1, "burst size must be positive");
@@ -698,20 +699,12 @@ impl ShardedRuntime {
         let mut steerer = Steerer::new(options.steering, options.shards);
         if options.steering == SteeringMode::FiveTuple {
             for module in template.loaded_modules() {
-                match template.module_execution_mode(module) {
-                    Some(ModuleExecutionMode::Pinned) => {
-                        steerer.pin_module(module.value());
-                    }
-                    Some(ModuleExecutionMode::Replicated) => {
-                        if let Some(spec) = template.module_digest_spec(module) {
-                            steerer.set_replicated(module.value(), Arc::new(spec));
-                        } else {
-                            // Unreachable (Replicated implies a digest spec),
-                            // but a pin is always a safe fallback.
-                            steerer.pin_module(module.value());
-                        }
-                    }
-                    Some(ModuleExecutionMode::Mergeable) | None => {}
+                let non_mergeable = matches!(
+                    template.module_state_mergeability(module),
+                    Some(StateMergeability::NonMergeable { .. })
+                );
+                if let (true, Some(spec)) = (non_mergeable, template.module_digest_spec(module)) {
+                    steerer.set_replicated(module.value(), Arc::new(spec));
                 }
             }
         }
@@ -1131,60 +1124,43 @@ impl ShardedRuntime {
             .standby_replica(&self.genesis)
     }
 
-    /// Aligns a module's steering regime with its execution-mode
-    /// classification ([`ModuleConfig::execution_mode`]). Under 5-tuple
-    /// steering:
-    ///
-    /// * **Mergeable** (and stateless) modules spread normally — per-shard
-    ///   partial state sums to the true value, no extra machinery.
-    /// * **Replicated** modules spread too, with every shard keeping a full
-    ///   bit-identical copy of the state: the dispatch plane extracts a
-    ///   compact state digest from each packet ([`Steerer::digest_spec_for`])
-    ///   and broadcasts it to the non-owning shards, which replay it in
-    ///   global order.
-    /// * **Pinned** modules (explicit hint, or non-digestible parsers) fall
-    ///   back to tenant-affine steering: one shard owns the state, and live
-    ///   resharding migrates that copy whole on RETA changes.
-    ///
-    /// Tenant-affine steering is already single-owner, so nothing is pinned
-    /// or replicated there. Returns true when the steering tables changed
-    /// (the change must then be pushed to the dispatchers before the next
-    /// packet is steered).
-    fn align_steering(&mut self, config: &ModuleConfig) -> bool {
+    /// Admits a load or update: refuses a configuration that fails the
+    /// pipeline's static checks ([`MenshenPipeline::check_module_config`])
+    /// before any steering change or epoch, then aligns the module's
+    /// steering with its state classification
+    /// ([`ModuleConfig::state_mergeability`]). Under 5-tuple steering
+    /// mergeable (and stateless) modules spread with no extra machinery,
+    /// while non-mergeable modules are replicated: the dispatch plane
+    /// extracts a state digest from each packet ([`Steerer::digest_spec_for`])
+    /// and broadcasts it to the non-owning shards, which replay it in global
+    /// order. Tenant-affine steering is already single-owner, so nothing is
+    /// replicated there. A steering change reaches the dispatchers before the
+    /// next packet is steered.
+    fn admit(&mut self, config: &ModuleConfig) -> Result<(), RuntimeError> {
+        self.genesis
+            .check_module_config(config)
+            .map_err(RuntimeError::Rejected)?;
         let module = config.module_id.value();
-        if self.steerer.mode() != SteeringMode::FiveTuple {
-            let unpinned = self.steerer.unpin_module(module);
-            self.steerer.clear_replicated(module) || unpinned
-        } else {
-            match config.execution_mode() {
-                ModuleExecutionMode::Mergeable => {
-                    let unpinned = self.steerer.unpin_module(module);
-                    self.steerer.clear_replicated(module) || unpinned
-                }
-                ModuleExecutionMode::Replicated => match config.digest_spec() {
-                    Some(spec) => {
-                        let unpinned = self.steerer.unpin_module(module);
-                        self.steerer.set_replicated(module, Arc::new(spec)) || unpinned
-                    }
-                    // Unreachable (Replicated implies a digest spec), but a
-                    // pin is always a safe fallback.
-                    None => {
-                        let cleared = self.steerer.clear_replicated(module);
-                        self.steerer.pin_module(module) || cleared
-                    }
-                },
-                ModuleExecutionMode::Pinned => {
-                    let cleared = self.steerer.clear_replicated(module);
-                    self.steerer.pin_module(module) || cleared
-                }
-            }
+        let replicate = self.steerer.mode() == SteeringMode::FiveTuple
+            && matches!(
+                config.state_mergeability(),
+                StateMergeability::NonMergeable { .. }
+            );
+        let changed = match config.digest_spec() {
+            Ok(spec) if replicate => self.steerer.set_replicated(module, Arc::new(spec)),
+            _ => self.steerer.clear_replicated(module),
+        };
+        if changed {
+            self.push_steering();
         }
+        Ok(())
     }
 
-    /// Pushes the runtime's current steerer (RETA, shard count, pin set) to
-    /// every dispatcher thread without touching the ring topology. The
-    /// dispatchers adopt it before steering their next chunk; the calling
-    /// thread owns `&mut self`, so no packet can be submitted in between.
+    /// Pushes the runtime's current steerer (RETA, shard count, replicated
+    /// modules) to every dispatcher thread without touching the ring
+    /// topology. The dispatchers adopt it before steering their next chunk;
+    /// the calling thread owns `&mut self`, so no packet can be submitted in
+    /// between.
     fn push_steering(&mut self) {
         if let Backend::Threaded { dispatchers, .. } = &self.backend {
             for index in 0..dispatchers.len() {
@@ -1204,39 +1180,30 @@ impl ShardedRuntime {
     /// Loads a module on every shard replica (one epoch). Under 5-tuple
     /// steering, a module with non-mergeable stateful memory is replicated
     /// (digest-broadcast, see [`replicated_modules`](Self::replicated_modules))
-    /// or pinned tenant-affine ([`pinned_modules`](Self::pinned_modules))
-    /// rather than refused.
+    /// rather than refused. A configuration that fails the pipeline's static
+    /// checks is refused with [`RuntimeError::Rejected`] and publishes no
+    /// epoch.
     pub fn load_module(&mut self, config: &ModuleConfig) -> Result<(), RuntimeError> {
-        if self.align_steering(config) {
-            self.push_steering();
-        }
+        self.admit(config)?;
         self.control(vec![ControlOp::Load(Box::new(config.clone()))])
     }
 
     /// Updates a loaded module on every shard replica (one epoch),
-    /// re-aligning its steering regime with the new program's execution-mode
-    /// classification.
+    /// re-aligning its steering with the new program's state
+    /// classification. Refused like [`load_module`](Self::load_module), and
+    /// then the running program is untouched.
     pub fn update_module(&mut self, config: &ModuleConfig) -> Result<(), RuntimeError> {
-        if self.align_steering(config) {
-            self.push_steering();
-        }
+        self.admit(config)?;
         self.control(vec![ControlOp::Update(Box::new(config.clone()))])
     }
 
     /// Unloads a module from every shard replica (one epoch) and clears any
-    /// steering pin or replication entry it held.
+    /// replication entry it held.
     pub fn unload_module(&mut self, module: ModuleId) -> Result<(), RuntimeError> {
-        let unpinned = self.steerer.unpin_module(module.value());
-        if self.steerer.clear_replicated(module.value()) || unpinned {
+        if self.steerer.clear_replicated(module.value()) {
             self.push_steering();
         }
         self.control(vec![ControlOp::Unload(module)])
-    }
-
-    /// The modules currently pinned to tenant-affine steering under 5-tuple
-    /// mode (single-owner state; empty in tenant-affine mode).
-    pub fn pinned_modules(&self) -> Vec<u16> {
-        self.steerer.pinned_modules()
     }
 
     /// The modules currently running replicated under 5-tuple mode — their
@@ -1435,7 +1402,8 @@ impl ShardedRuntime {
         // `&mut self`, so no new packet can be submitted until we return.
         self.flush();
 
-        // The post-migration steering decision (same mode, same pin set).
+        // The post-migration steering decision (same mode, same replicated
+        // modules).
         let mut new_steerer = self.steerer.clone();
         new_steerer.retarget(new_shards);
         new_steerer.set_reta(new_reta);
@@ -1446,12 +1414,11 @@ impl ShardedRuntime {
         let standby = self.standby_replica();
 
         // Plan the moves. Single-owner modules (every module under
-        // tenant-affine steering; pinned modules under 5-tuple) move whole
-        // when their owner shard changes. Spread modules (5-tuple,
-        // mergeable or replicated) need no move on a RETA change — mergeable
-        // per-shard partial sums stay correct wherever the flows land, and
-        // replicated copies are bit-identical everywhere — except on a
-        // shrink, where the retiring shards' state must be rescued into a
+        // tenant-affine steering) move whole when their owner shard changes.
+        // Spread modules (5-tuple, mergeable or replicated) need no move on
+        // a RETA change — mergeable per-shard partial sums stay correct
+        // wherever the flows land, and replicated copies are bit-identical
+        // everywhere — except on a shrink, where the retiring shards' state must be rescued into a
         // survivor before the shards disappear, and, for replicated modules,
         // on a grow, where the brand-new shards must be seeded with a full
         // copy of the state before any of the module's traffic reaches them.
@@ -3634,7 +3601,7 @@ mod tests {
     }
 
     /// A module whose action overwrites a stateful word — classified
-    /// non-mergeable, so 5-tuple steering must replicate (or pin) it.
+    /// non-mergeable, so 5-tuple steering must replicate it.
     fn storing_module(module_id: u16) -> ModuleConfig {
         let mut config = simple_module(module_id, 0x0a00_0002, 4444);
         config.stages[0].rules[0].action = VliwAction::nop()
@@ -3650,13 +3617,11 @@ mod tests {
             RuntimeOptions::deterministic(4).with_steering(SteeringMode::FiveTuple),
         );
         // A module that overwrites stateful words cannot merge per-shard
-        // partial state — but its parser is digestible, so instead of being
-        // pinned to one shard it runs *replicated*: its flows spread and
+        // partial state, so it runs *replicated*: its flows spread and
         // digest broadcast keeps every copy of the state identical.
         runtime.load_module(&storing_module(3)).unwrap();
         assert_eq!(runtime.replicated_modules(), vec![3]);
-        assert!(runtime.pinned_modules().is_empty());
-        // Additive state spreads normally (no pin, no replication)…
+        // Additive state spreads normally (no replication)…
         runtime
             .load_module(&simple_module(1, 0x0a00_0002, 1111))
             .unwrap();
@@ -3668,28 +3633,14 @@ mod tests {
             .update_module(&simple_module(1, 0x0a00_0002, 1111))
             .unwrap();
         assert_eq!(runtime.replicated_modules(), vec![3]);
-        // A parser wider than a digest can carry cannot replicate: the
-        // program falls back to the pinned single-owner regime.
-        let mut undigestible = storing_module(5);
-        let last = *undigestible.parser.actions.last().unwrap();
-        undigestible
-            .parser
-            .actions
-            .resize(menshen_core::DIGEST_MAX_FIELDS + 1, last);
-        runtime.load_module(&undigestible).unwrap();
-        assert_eq!(runtime.pinned_modules(), vec![5]);
-        assert_eq!(runtime.replicated_modules(), vec![3]);
-        // Unloading clears either regime.
+        // Unloading clears the regime.
         runtime.unload_module(ModuleId::new(3)).unwrap();
-        runtime.unload_module(ModuleId::new(5)).unwrap();
         assert!(runtime.replicated_modules().is_empty());
-        assert!(runtime.pinned_modules().is_empty());
 
-        // Tenant-affine steering needs neither pins nor replication: every
-        // module is already single-owner.
+        // Tenant-affine steering needs no replication: every module is
+        // already single-owner.
         let mut affine = ShardedRuntime::new(TABLE5, RuntimeOptions::deterministic(2));
         affine.load_module(&storing_module(3)).unwrap();
-        assert!(affine.pinned_modules().is_empty());
         assert!(affine.replicated_modules().is_empty());
     }
 
@@ -3707,7 +3658,6 @@ mod tests {
             RuntimeOptions::deterministic(3).with_steering(SteeringMode::FiveTuple),
         );
         assert_eq!(runtime.replicated_modules(), vec![4]);
-        assert!(runtime.pinned_modules().is_empty());
         let packets: Vec<Packet> = (0..24)
             .map(|i| {
                 PacketBuilder::udp_data(
@@ -3722,7 +3672,7 @@ mod tests {
             .collect();
         let verdicts = runtime.process_batch(packets).unwrap();
         assert!(verdicts.iter().all(|v| v.is_forwarded()));
-        // The flows spread past one shard (no pin)…
+        // The flows spread past one shard…
         let touched = runtime
             .shard_stats()
             .iter()

@@ -399,7 +399,8 @@ pub(crate) struct ProgressBoard {
 /// dispatcher that is parked simply finds the update waiting when the next
 /// chunk wakes it.
 pub(crate) struct DispatcherUpdate {
-    /// The steerer to use from now on (new RETA, shard count, pin set).
+    /// The steerer to use from now on (new RETA, shard count, replicated
+    /// modules).
     pub steerer: Steerer,
     /// Keep only the first `keep` shard rings; the rest are dropped (their
     /// producers close — the retired workers are already gone).
@@ -1183,7 +1184,7 @@ pub(crate) fn run_dispatcher(
         }
         chunk_index += 1;
         // Resharding/recovery handshake: before steering anything, adopt
-        // any staged steering/topology change (new RETA + pin set, grown or
+        // any staged steering/topology change (new RETA + replicated set, grown or
         // shrunk ring row, in-place slot replacements). The cost on the hot
         // path is one atomic load per chunk.
         let version = shared.steering_version.load(Ordering::SeqCst);

@@ -2,9 +2,13 @@
 //! tests (§2.1 requirements 5 and 6, §3.1 secure reconfiguration, Figure 10).
 
 use menshen::prelude::*;
+use menshen_bench::workloads::{flow_dst_ip, flow_rule_tenant_with_port};
 use menshen_core::reconfig::{ReconfigCommand, ResourceKind, WritePayload};
 use menshen_core::SegmentEntry;
 use menshen_programs::{calc::Calc, firewall::Firewall, qos::Qos};
+use menshen_rmt::action::AluInstruction;
+use menshen_rmt::phv::ContainerRef as C;
+use menshen_runtime::RuntimeError;
 
 #[test]
 fn updating_one_module_never_disturbs_another() {
@@ -118,4 +122,115 @@ fn trusted_daisy_chain_reconfiguration_round_trips() {
             .with_vlan(1)
             .build_udp([1, 1, 1, 1], [2, 2, 2, 2], 1, 2, &[0u8; 8]);
     assert!(pipeline.apply_reconfiguration_packet(&data).is_err());
+}
+
+/// Updates the pipeline's static checks refuse, each built from the
+/// mergeable flow-rule shape (so a runtime that re-steered before checking
+/// would stop replicating the running storing program): one stage too many,
+/// LPM rules in an exact-match stage, and a parser or deparser wider than a
+/// table row.
+fn refused_updates() -> Vec<ModuleConfig> {
+    let plain = flow_rule_tenant_with_port(1, 4, 2002);
+    let mut deep = plain.clone();
+    deep.stages.push(StageModuleConfig::default());
+    let mut mixed = plain.clone();
+    mixed.stages[0].lpm_rules.push(LpmMatchRule {
+        prefix: 0,
+        prefix_len: 0,
+        action: 0,
+    });
+    let row = menshen_rmt::params::PARSE_ACTIONS_PER_ENTRY;
+    let mut wide_parser = plain.clone();
+    wide_parser.parser.actions = vec![plain.parser.actions[0]; row + 1];
+    let mut wide_deparser = plain.clone();
+    wide_deparser.deparser.actions = vec![plain.deparser.actions[0]; row + 1];
+    vec![deep, mixed, wide_parser, wide_deparser]
+}
+
+/// The running program: the flow-rule tenant (rewrite to port 1001, count
+/// in word 0) that also stores the dst IP into word 2.
+fn running_module() -> ModuleConfig {
+    let mut config = flow_rule_tenant_with_port(1, 4, 1001);
+    for rule in &mut config.stages[0].rules {
+        rule.action = rule
+            .action
+            .clone()
+            .with(C::h4(3), AluInstruction::store(C::h4(1), 2));
+    }
+    config
+}
+
+fn running_traffic(count: u16) -> Vec<Packet> {
+    (0..count)
+        .map(|i| {
+            let ip = flow_dst_ip(1, usize::from(i % 4)) as u32;
+            PacketBuilder::udp_data(1, [10, 0, 0, 1], ip.to_be_bytes(), 3000 + i, 80, &[0u8; 8])
+        })
+        .collect()
+}
+
+fn forwards_to_1001(verdicts: &[Verdict]) -> bool {
+    verdicts
+        .iter()
+        .all(|v| v.packet().and_then(|p| p.udp_dst_port()) == Some(1001))
+}
+
+/// A refused update must leave the running program as it was: loaded,
+/// forwarding, with its counters and stateful words intact — on a lone
+/// pipeline and on a deterministic sharded runtime, where it also publishes
+/// no epoch and leaves the program replicated.
+#[test]
+fn rejected_update_leaves_the_running_module_intact() {
+    let module = ModuleId::new(1);
+    let mut pipeline = MenshenPipeline::new(TABLE5);
+    pipeline.load_module(&running_module()).unwrap();
+    assert!(forwards_to_1001(
+        &pipeline.process_batch(running_traffic(16))
+    ));
+    let counters = pipeline.module_counters(module);
+    let words = [0, 2].map(|word| pipeline.read_stateful(module, 0, word));
+    assert!(words.iter().all(|w| w.is_some_and(|w| w != 0)));
+    for (index, refused) in refused_updates().iter().enumerate() {
+        assert!(pipeline.update_module(refused).is_err(), "update {index}");
+        assert_eq!(pipeline.module_counters(module), counters, "update {index}");
+        assert_eq!(
+            [0, 2].map(|word| pipeline.read_stateful(module, 0, word)),
+            words,
+            "update {index}"
+        );
+    }
+    assert!(forwards_to_1001(
+        &pipeline.process_batch(running_traffic(4))
+    ));
+
+    let mut runtime = ShardedRuntime::new(
+        TABLE5,
+        RuntimeOptions::deterministic(2).with_steering(SteeringMode::FiveTuple),
+    );
+    runtime.load_module(&running_module()).unwrap();
+    let verdicts = runtime.process_batch(running_traffic(16)).unwrap();
+    assert!(forwards_to_1001(&verdicts));
+    let counters = runtime.aggregated_counters().unwrap();
+    let words = [0, 2].map(|word| runtime.read_stateful_aggregate(module, 0, word));
+    for (index, refused) in refused_updates().iter().enumerate() {
+        // (Counter snapshots are epochs themselves, so re-read per update.)
+        let epoch = runtime.current_epoch();
+        assert!(
+            matches!(
+                runtime.update_module(refused),
+                Err(RuntimeError::Rejected(_))
+            ),
+            "update {index}"
+        );
+        assert_eq!(runtime.current_epoch(), epoch, "update {index}");
+        assert_eq!(runtime.replicated_modules(), vec![1], "update {index}");
+        assert_eq!(runtime.aggregated_counters().unwrap(), counters);
+        assert_eq!(
+            [0, 2].map(|word| runtime.read_stateful_aggregate(module, 0, word)),
+            words,
+            "update {index}"
+        );
+    }
+    let verdicts = runtime.process_batch(running_traffic(4)).unwrap();
+    assert!(forwards_to_1001(&verdicts));
 }

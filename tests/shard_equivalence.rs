@@ -20,12 +20,14 @@
 
 use menshen::prelude::*;
 use menshen_bench::workloads::{flow_dst_ip, flow_rule_tenant_with_port};
-use menshen_core::{ModuleConfig, ModuleCounters};
+use menshen_core::{CoreError, ModuleConfig, ModuleCounters, DIGEST_MAX_FIELDS};
 use menshen_packet::{Packet, PacketBuilder};
 use menshen_rmt::action::AluInstruction;
-use menshen_rmt::config::KeyMask;
+use menshen_rmt::config::{KeyMask, ParseAction, ParserEntry};
+use menshen_rmt::params::PARSE_ACTIONS_PER_ENTRY;
 use menshen_rmt::phv::ContainerRef as C;
-use menshen_runtime::{DispatchSpray, ShardedRuntime};
+use menshen_rmt::RmtError;
+use menshen_runtime::{DispatchSpray, RuntimeError, ShardedRuntime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
@@ -523,32 +525,24 @@ fn resize_equivalence_holds_across_seeds_and_starts() {
     }
 }
 
-/// The pinned scenario: a stateful program whose state is NOT mergeable
-/// (it `store`s packet-derived values) and whose parser is too wide to
-/// digest cannot replicate, runs under 5-tuple steering as a pinned single
-/// owner, and its state migrates across grow and shrink
-/// resizes, staying equivalent to the lone pipeline throughout.
+/// The single-owner scenario: a stateful program whose state is NOT
+/// mergeable (it `store`s packet-derived values) runs under tenant-affine
+/// steering, where one shard owns it, and its state migrates whole across
+/// grow and shrink resizes, staying equivalent to the lone pipeline
+/// throughout.
 #[test]
-fn non_mergeable_program_migrates_under_five_tuple_resizes() {
+fn non_mergeable_program_migrates_under_tenant_affine_resizes() {
     let mut rng = StdRng::seed_from_u64(0x57_0BE5);
     let params = TABLE5.with_table_depth(64);
     let mut single = MenshenPipeline::new(params);
     let mut sharded = ShardedRuntime::new(
         params,
-        RuntimeOptions::deterministic(2).with_steering(SteeringMode::FiveTuple),
+        RuntimeOptions::deterministic(2).with_steering(SteeringMode::TenantAffine),
     );
     // Tenant 1: a storing (non-mergeable) program — match its flow-rule dst
     // IPs, rewrite the port AND store the dst-IP container into stateful
-    // word 2 — with a parser too wide to digest (its last extraction
-    // repeated past `DIGEST_MAX_FIELDS`, which changes nothing else), so it
-    // stays single-owner instead of replicating. Tenants 2..: the usual
-    // mergeable flow-rule programs.
+    // word 2. Tenants 2..: the usual mergeable flow-rule programs.
     let mut storing = tenant_module(1, 1001);
-    let last = *storing.parser.actions.last().unwrap();
-    storing
-        .parser
-        .actions
-        .resize(menshen_core::DIGEST_MAX_FIELDS + 1, last);
     for rule in &mut storing.stages[0].rules {
         rule.action = rule
             .action
@@ -557,14 +551,9 @@ fn non_mergeable_program_migrates_under_five_tuple_resizes() {
     }
     single.load_module(&storing).expect("single load");
     sharded.load_module(&storing).expect("sharded load");
-    assert_eq!(
-        sharded.pinned_modules(),
-        vec![1],
-        "an undigestible parser must force single ownership"
-    );
     assert!(
         sharded.replicated_modules().is_empty(),
-        "a pinned program must not replicate"
+        "tenant-affine steering is single-owner: nothing replicates"
     );
     for module in 2..=TENANTS {
         let config = tenant_module(module, 1000 + module);
@@ -587,7 +576,7 @@ fn non_mergeable_program_migrates_under_five_tuple_resizes() {
             .unwrap();
         let report = sharded.resize(plan).expect("resize");
         migrations += report.migrated_modules;
-        // The pinned tenant's stored word survived the move bit-for-bit —
+        // The storing tenant's stored word survived the move bit-for-bit —
         // and only one replica holds it.
         assert_eq!(
             sharded.read_stateful_aggregate(ModuleId::new(1), 0, 2),
@@ -709,10 +698,6 @@ fn replicated_storing_program_matches_the_lone_pipeline_across_shard_counts() {
             sharded.replicated_modules(),
             vec![1],
             "the storing program must replicate, not pin"
-        );
-        assert!(
-            sharded.pinned_modules().is_empty(),
-            "every program here is digestible"
         );
         for module in 2..=TENANTS {
             let config = tenant_module(module, 1000 + module);
@@ -860,4 +845,169 @@ fn replicated_program_survives_elastic_resizes() {
         sharded.read_stateful_aggregate(ModuleId::new(1), 0, 2),
         "stored word diverged from the lone pipeline after the schedule"
     );
+}
+
+/// The width boundary of "every parser digests". A storing tenant whose
+/// parser fills a whole parser-table row digests every field and runs
+/// replicated on 1–4 shards, each replica's words equal to the lone
+/// pipeline's; the compiler's nine-field storing module replicates too; and
+/// one action more is refused by the lone pipeline, the control plane and
+/// the runtime with the parser entry's own error, before the runtime
+/// publishes anything.
+#[test]
+fn replicated_full_width_parser_matches_the_lone_pipeline_and_wider_is_refused() {
+    // Ten distinct extractions: the flow-rule shape's dst IP and UDP dst
+    // port, seven header fields nothing reads, and — last — the src IP,
+    // which the `store` writes into word 2. A digest that dropped its tail
+    // fields would leave the replicas disagreeing on that word.
+    let mut wide = tenant_module(1, 1001);
+    wide.parser = ParserEntry::new(vec![
+        ParseAction::new(34, C::h4(1)).unwrap(), // dst IP
+        ParseAction::new(40, C::h2(0)).unwrap(), // UDP dst port
+        ParseAction::new(0, C::h6(0)).unwrap(),  // dst MAC
+        ParseAction::new(6, C::h6(1)).unwrap(),  // src MAC
+        ParseAction::new(14, C::h2(1)).unwrap(), // VLAN TCI
+        ParseAction::new(16, C::h2(2)).unwrap(), // ethertype
+        ParseAction::new(26, C::h4(2)).unwrap(), // TTL, protocol, checksum
+        ParseAction::new(38, C::h2(3)).unwrap(), // UDP src port
+        ParseAction::new(42, C::h2(4)).unwrap(), // UDP length
+        ParseAction::new(30, C::h4(4)).unwrap(), // src IP
+    ])
+    .unwrap();
+    assert_eq!(wide.parser.actions.len(), PARSE_ACTIONS_PER_ENTRY);
+    for rule in &mut wide.stages[0].rules {
+        rule.action = rule
+            .action
+            .clone()
+            .with(C::h4(3), AluInstruction::store(C::h4(4), 2));
+    }
+
+    // The spec carries all ten fields, and its extraction mirrors the
+    // parser's wire reads field for field.
+    let spec = wide.digest_spec().expect("a full parser row digests");
+    assert_eq!(spec.fields().len(), DIGEST_MAX_FIELDS);
+    let probe = PacketBuilder::udp_data(1, [10, 0, 0, 7], [10, 0, 1, 0], 4321, 80, &[0u8; 8]);
+    let digest = spec.extract(&probe, 0);
+    assert_eq!(digest.fields().len(), PARSE_ACTIONS_PER_ENTRY);
+    for (action, (code, value)) in wide.parser.actions.iter().zip(digest.fields()) {
+        assert_eq!(code, action.container.code());
+        let wire = probe.read_be(usize::from(action.offset), action.container.width_bytes());
+        assert_eq!(Some(value), wire, "field at offset {}", action.offset);
+    }
+
+    for shards in 1..=4usize {
+        let mut rng = StdRng::seed_from_u64(0x5C2_0A10 + shards as u64);
+        let params = TABLE5.with_table_depth(64);
+        let mut single = MenshenPipeline::new(params);
+        let mut sharded = ShardedRuntime::new(
+            params,
+            RuntimeOptions::deterministic(shards).with_steering(SteeringMode::FiveTuple),
+        );
+        single.load_module(&wide).expect("single load");
+        sharded.load_module(&wide).expect("sharded load");
+        assert_eq!(sharded.replicated_modules(), vec![1]);
+        assert_eq!(
+            single.module_digest_spec(ModuleId::new(1)),
+            Some(spec.clone())
+        );
+        for module in 2..=TENANTS {
+            let config = tenant_module(module, 1000 + module);
+            single.load_module(&config).expect("single load");
+            sharded.load_module(&config).expect("sharded load");
+        }
+        for burst_index in 0..8 {
+            let burst: Vec<Packet> = (0..48).map(|_| random_packet(&mut rng)).collect();
+            let expected = single.process_batch(burst.clone());
+            let got = sharded.process_batch(burst).expect("deterministic mode");
+            for (position, (a, b)) in expected.iter().zip(&got).enumerate() {
+                assert_eq!(
+                    project(a),
+                    project(b),
+                    "{shards} shards, burst {burst_index}, packet {position}"
+                );
+            }
+        }
+        let stored = single.read_stateful(ModuleId::new(1), 0, 2);
+        assert!(stored.is_some_and(|word| word != 0), "the store ran");
+        for shard in 0..shards {
+            let replica = sharded.shard_pipeline(shard).expect("deterministic shard");
+            for word in [0, 2] {
+                assert_eq!(
+                    replica.read_stateful(ModuleId::new(1), 0, word),
+                    single.read_stateful(ModuleId::new(1), 0, word),
+                    "{shards} shards: replica {shard} word {word} diverged"
+                );
+            }
+        }
+    }
+
+    // A compiled storing module with a nine-field parser: the source and
+    // compiled classifications agree it is non-mergeable, and the runtime
+    // replicates it.
+    let fields: Vec<String> = (0..9)
+        .map(|i| format!("f{i} : {};", if i < 5 { 16 } else { 32 }))
+        .collect();
+    let source = format!(
+        r#"
+module m {{
+    header h {{ {} }}
+    parser {{ extract h; }}
+    state reg[16];
+    table t {{ key = {{ h.f0; }} actions = {{ a; }} }}
+    action a() {{ reg.write(0, h.f1); h.f2 = h.f3; h.f4 = h.f5; h.f6 = h.f7; h.f8 = 1; set_port(2); }}
+    apply {{ t.apply(); }}
+}}
+"#,
+        fields.join(" ")
+    );
+    let ast = menshen::compiler::parse_module(&source).unwrap();
+    assert!(matches!(
+        menshen::compiler::classify_state_mergeability(&ast),
+        menshen::compiler::SourceStateMergeability::NonMergeable { .. }
+    ));
+    let compiled =
+        compile_source(&source, &CompileOptions::new(7).with_initial_entries(1)).unwrap();
+    assert!(matches!(
+        compiled.config.state_mergeability(),
+        menshen_core::StateMergeability::NonMergeable { .. }
+    ));
+    assert_eq!(compiled.config.parser.actions.len(), 9);
+    let mut sharded = ShardedRuntime::new(
+        TABLE5,
+        RuntimeOptions::deterministic(2).with_steering(SteeringMode::FiveTuple),
+    );
+    sharded
+        .load_module(&compiled.config)
+        .expect("compiled load");
+    assert_eq!(sharded.replicated_modules(), vec![7]);
+
+    // One action past the row: refused everywhere with the entry's error.
+    let overflow = RmtError::FieldOverflow {
+        field: "parser entry action count",
+    };
+    let mut too_wide = wide.clone();
+    too_wide.module_id = ModuleId::new(9);
+    too_wide
+        .parser
+        .actions
+        .push(ParseAction::new(44, C::h2(5)).unwrap());
+    assert_eq!(too_wide.digest_spec(), Err(overflow.clone()));
+    let mut lone = MenshenPipeline::new(TABLE5);
+    assert_eq!(
+        lone.load_module(&too_wide),
+        Err(CoreError::Rmt(overflow.clone()))
+    );
+    assert!(lone.loaded_modules().is_empty());
+    let mut control = ControlPlane::new(TABLE5, SharingPolicy::FirstComeFirstServed);
+    assert_eq!(
+        control.load_module(&too_wide),
+        Err(CoreError::Rmt(overflow.clone()))
+    );
+    let epoch = sharded.current_epoch();
+    assert_eq!(
+        sharded.load_module(&too_wide),
+        Err(RuntimeError::Rejected(CoreError::Rmt(overflow)))
+    );
+    assert_eq!(sharded.current_epoch(), epoch, "no epoch was published");
+    assert_eq!(sharded.replicated_modules(), vec![7]);
 }

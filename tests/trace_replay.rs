@@ -4,7 +4,7 @@
 //! latency/balance telemetry is consistent.
 
 use menshen::core::{MenshenPipeline, ModuleId};
-use menshen::runtime::{RuntimeOptions, ShardedRuntime, SteeringMode};
+use menshen::runtime::{RuntimeError, RuntimeOptions, ShardedRuntime, SteeringMode};
 use menshen::trace::pcap::{read_pcap, write_pcap, Endianness, TimestampPrecision};
 use menshen::trace::replay::{replay_pipeline, replay_sharded, Pacing};
 use menshen::trace::synth::{synthesize, WorkloadSpec};
@@ -127,41 +127,33 @@ fn non_mergeable_state_replicates_under_five_tuple_steering_unless_undigestible(
     let mut config = flow_rule_tenant(1, 4);
     config.stages[0].rules[0].action =
         VliwAction::nop().with(C::h4(3), AluInstruction::store(C::h4(1), 0));
-    // Non-mergeable storing state defaults to state-compute replication:
+    // Non-mergeable storing state runs under state-compute replication:
     // every shard carries a replica kept in lockstep by digest replay, so
-    // no pin is needed and the tenant scales past one shard.
+    // the tenant scales past one shard.
     let mut runtime = ShardedRuntime::new(
         TABLE5.with_table_depth(1024),
         RuntimeOptions::threaded(2).with_steering(SteeringMode::FiveTuple),
     );
     runtime.load_module(&config).unwrap();
-    assert!(runtime.pinned_modules().is_empty());
+    assert_eq!(runtime.replicated_modules(), vec![1]);
+    // A parser too wide to digest is wider than a parser-table row, so the
+    // threaded runtime refuses it before publishing anything.
+    let mut undigestible = flow_rule_tenant(2, 4);
+    undigestible.parser.actions =
+        vec![undigestible.parser.actions[0]; menshen::rmt::params::PARSE_ACTIONS_PER_ENTRY + 1];
+    let epoch = runtime.current_epoch();
+    assert!(matches!(
+        runtime.load_module(&undigestible),
+        Err(RuntimeError::Rejected(_))
+    ));
+    assert_eq!(runtime.current_epoch(), epoch);
     assert_eq!(runtime.replicated_modules(), vec![1]);
     runtime.shutdown();
-    // A program whose parser is too wide to digest cannot replicate and
-    // falls back to the tenant-affine single-owner regime (one shard owns
-    // the state; live resharding migrates that copy): repeating its last
-    // extraction past `DIGEST_MAX_FIELDS` changes nothing else.
-    let mut pinned = ShardedRuntime::new(
-        TABLE5.with_table_depth(1024),
-        RuntimeOptions::threaded(2).with_steering(SteeringMode::FiveTuple),
-    );
-    let mut undigestible = config.clone();
-    let last = *undigestible.parser.actions.last().unwrap();
-    undigestible
-        .parser
-        .actions
-        .resize(menshen::core::DIGEST_MAX_FIELDS + 1, last);
-    pinned.load_module(&undigestible).unwrap();
-    assert_eq!(pinned.pinned_modules(), vec![1]);
-    assert!(pinned.replicated_modules().is_empty());
-    pinned.shutdown();
-    // Tenant-affine needs neither pin nor replication (every module is
-    // already single-owner).
+    // Tenant-affine needs no replication (every module is already
+    // single-owner).
     let mut affine =
         ShardedRuntime::new(TABLE5.with_table_depth(1024), RuntimeOptions::threaded(2));
     affine.load_module(&config).unwrap();
-    assert!(affine.pinned_modules().is_empty());
     assert!(affine.replicated_modules().is_empty());
     assert_eq!(
         affine.standby_replica().loaded_modules(),
