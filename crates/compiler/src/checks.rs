@@ -411,6 +411,55 @@ module m {{
     }
 
     #[test]
+    fn execution_mode_matches_the_compiled_classification() {
+        use crate::{compile_source, CompileOptions};
+
+        // The runtime replicates exactly the non-mergeable modules, by a
+        // digest that mirrors the compiled parser; the source classifier
+        // must predict which modules those are.
+        let cases = [
+            ("set_port(2);", false),
+            ("ipv4.dst_addr = reg.count(0); set_port(2);", false),
+            ("reg.write(0, ipv4.dst_addr); set_port(2);", true),
+        ];
+        for (body, replicated) in cases {
+            let ast = module_with_action(body);
+            assert_eq!(
+                matches!(
+                    classify_state_mergeability(&ast),
+                    SourceStateMergeability::NonMergeable { .. }
+                ),
+                replicated,
+                "body {body}"
+            );
+
+            let source = format!(
+                r#"
+module m {{
+    parser {{ extract ipv4; }}
+    state reg[16];
+    table t {{ key = {{ ipv4.dst_addr; }} actions = {{ a; }} }}
+    action a() {{ {body} }}
+    apply {{ t.apply(); }}
+}}
+"#
+            );
+            let compiled =
+                compile_source(&source, &CompileOptions::new(7).with_initial_entries(1)).unwrap();
+            assert_eq!(
+                matches!(
+                    compiled.config.state_mergeability(),
+                    menshen_core::StateMergeability::NonMergeable { .. }
+                ),
+                replicated,
+                "body {body}: source and compiled classifiers must agree"
+            );
+            let spec = compiled.config.digest_spec().unwrap();
+            assert_eq!(spec.fields().len(), compiled.config.parser.actions.len());
+        }
+    }
+
+    #[test]
     fn wide_parser_storing_module_digests() {
         // Nine distinct fields (spread over the 2- and 4-byte container
         // classes so the PHV allocation succeeds): the storing module is

@@ -378,6 +378,45 @@ mod tests {
     }
 
     #[test]
+    fn execution_mode_refines_mergeability() {
+        use menshen_rmt::action::AluInstruction;
+        use menshen_rmt::config::ParseAction;
+        use menshen_rmt::phv::ContainerRef as C;
+        use menshen_rmt::RmtError;
+
+        // A store makes the module non-mergeable, and a non-mergeable module
+        // always replicates: its digest spec exists at every parser width a
+        // table row holds, field for field.
+        let mut config = ModuleConfig::empty(ModuleId::new(1), "m", 3);
+        config.stages[0].rules.push(MatchRule {
+            key: LookupKey::default(),
+            action: VliwAction::nop().with(C::h4(3), AluInstruction::store(C::h4(1), 4)),
+        });
+        assert!(matches!(
+            config.state_mergeability(),
+            StateMergeability::NonMergeable { .. }
+        ));
+        let wide: Vec<ParseAction> = (0..=PARSE_ACTIONS_PER_ENTRY as u8)
+            .map(|i| ParseAction::new(14 + 2 * i, C::h2(i % 8)).unwrap())
+            .collect();
+        for width in 0..=PARSE_ACTIONS_PER_ENTRY {
+            config.parser = ParserEntry::new(wide[..width].to_vec()).unwrap();
+            let spec = config.digest_spec().unwrap();
+            assert_eq!(spec.fields().len(), width, "width {width}");
+        }
+
+        // One action past the row is the parser the pipeline refuses; the
+        // spec fails with the same error instead of a narrower regime.
+        config.parser.actions = wide;
+        assert_eq!(
+            config.digest_spec(),
+            Err(RmtError::FieldOverflow {
+                field: "parser entry action count"
+            })
+        );
+    }
+
+    #[test]
     fn usage_reflects_rules_and_state() {
         let mut config = ModuleConfig::empty(ModuleId::new(1), "m", 3);
         config.stages[1].rules.push(MatchRule {

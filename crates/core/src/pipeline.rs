@@ -2082,6 +2082,43 @@ mod tests {
     }
 
     #[test]
+    fn loaded_module_execution_mode_matches_the_config_classification() {
+        let mut pipeline = MenshenPipeline::new(TABLE5);
+        let additive = simple_module(1, 0x0a00_0002, 1111);
+        let storing = storing_module(2, 0x0a00_0002, 2222);
+        // The widest parser a table row holds still replicates; repeating
+        // its last extraction changes nothing else about the program.
+        let mut full_width = storing_module(3, 0x0a00_0002, 3333);
+        let last = *full_width.parser.actions.last().unwrap();
+        full_width
+            .parser
+            .actions
+            .resize(menshen_rmt::params::PARSE_ACTIONS_PER_ENTRY, last);
+        for config in [&additive, &storing, &full_width] {
+            pipeline.load_module(config).unwrap();
+            assert_eq!(
+                pipeline.module_digest_spec(config.module_id),
+                Some(config.digest_spec().unwrap()),
+                "module {}: the loaded spec mirrors the config's",
+                config.module_id
+            );
+        }
+        for id in [2, 3] {
+            assert!(matches!(
+                pipeline.module_state_mergeability(ModuleId::new(id)),
+                Some(StateMergeability::NonMergeable { .. })
+            ));
+        }
+        let spec = pipeline.module_digest_spec(ModuleId::new(3)).unwrap();
+        assert_eq!(
+            spec.fields().len(),
+            menshen_rmt::params::PARSE_ACTIONS_PER_ENTRY,
+            "a full-width parser digests field for field"
+        );
+        assert!(pipeline.module_digest_spec(ModuleId::new(99)).is_none());
+    }
+
+    #[test]
     fn digest_replay_advances_state_identically_to_processing() {
         let config = storing_module(7, 0x0a00_0002, 9999);
         let mut owner = MenshenPipeline::new(TABLE5);
