@@ -30,7 +30,8 @@ pub enum CoreError {
         resource: String,
         /// Amount requested.
         requested: usize,
-        /// Amount still available.
+        /// The most one request could still be granted (for a contiguous
+        /// range resource, the largest free gap).
         available: usize,
     },
     /// The module's declared usage exceeds its allocation (admission control).

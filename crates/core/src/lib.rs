@@ -76,7 +76,7 @@ pub use partition::{Allocation, RangeAllocator};
 pub use pipeline::{
     DropReason, LoadReport, MenshenPipeline, ModuleCounters, ModuleState, Verdict, BURST_SIZE,
 };
-pub use profile::{Phase, StageProfile, DEFAULT_PROFILE_INTERVAL, PROFILE_PHASES};
+pub use profile::{Phase, StageProfile, PROFILE_PHASES};
 pub use reconfig::{ReconfigCommand, ResourceKind, WritePayload};
 pub use resources::{ResourceChecker, SharingPolicy};
 pub use segment_table::{SegmentEntry, SegmentTable, SegmentTranslator};

@@ -97,10 +97,10 @@ impl RangeAllocator {
         }
         let start = self
             .find_gap(len)
-            .ok_or_else(|| CoreError::InsufficientResource {
+            .map_err(|largest| CoreError::InsufficientResource {
                 resource: self.resource.clone(),
                 requested: len,
-                available: self.free(),
+                available: largest,
             })?;
         let alloc = Allocation { start, len };
         self.allocations.insert(module, alloc);
@@ -113,7 +113,10 @@ impl RangeAllocator {
     }
 
     /// Finds the lowest-addressed gap of at least `len` units (first fit).
-    fn find_gap(&self, len: usize) -> Option<usize> {
+    /// When none fits, returns the largest gap there is: the most one
+    /// contiguous grant could be, not the fragmented total of
+    /// [`free`](Self::free).
+    fn find_gap(&self, len: usize) -> std::result::Result<usize, usize> {
         let mut ranges: Vec<Allocation> = self
             .allocations
             .values()
@@ -122,16 +125,20 @@ impl RangeAllocator {
             .collect();
         ranges.sort_by_key(|a| a.start);
         let mut cursor = 0usize;
+        let mut largest = 0usize;
         for range in &ranges {
-            if range.start >= cursor && range.start - cursor >= len {
-                return Some(cursor);
+            let gap = range.start.saturating_sub(cursor);
+            if gap >= len {
+                return Ok(cursor);
             }
+            largest = largest.max(gap);
             cursor = cursor.max(range.end());
         }
-        if self.capacity >= cursor && self.capacity - cursor >= len {
-            Some(cursor)
+        let gap = self.capacity.saturating_sub(cursor);
+        if gap >= len {
+            Ok(cursor)
         } else {
-            None
+            Err(largest.max(gap))
         }
     }
 
@@ -208,6 +215,15 @@ mod tests {
         // 8 units free but only 4 contiguous at either end.
         assert_eq!(alloc.free(), 8);
         assert!(alloc.allocate(ModuleId::new(4), 8).is_err());
+        // The refusal names the largest grantable gap, not the total.
+        assert!(matches!(
+            alloc.allocate(ModuleId::new(4), 6),
+            Err(CoreError::InsufficientResource {
+                requested: 6,
+                available: 4,
+                ..
+            })
+        ));
         let a = alloc.allocate(ModuleId::new(5), 4).unwrap();
         assert_eq!(a.start, 0);
     }

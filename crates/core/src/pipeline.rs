@@ -50,7 +50,7 @@ use crate::module::{
 use crate::overlay::OverlayTable;
 use crate::packet_filter::{FilterDecision, PacketFilter, RECONFIG_BITMAP_SLOTS};
 use crate::partition::{Allocation, RangeAllocator};
-use crate::profile::{HotPathProfiler, PacketSample, Phase, StageProfile};
+use crate::profile::{HotPathProfiler, Phase, StageProfile};
 use crate::reconfig::{ReconfigCommand, ResourceKind, WritePayload};
 use crate::segment_table::{SegmentEntry, SegmentTable, SegmentTranslator};
 use crate::system_module::{ForwardingDecision, SystemModule};
@@ -460,9 +460,7 @@ impl MenshenPipeline {
             slots: vec![None; params.overlay_depth],
             cycle: 0,
             batch: BatchScratch::default(),
-            // `Default::default()` rather than the named constructor: the
-            // profiler is a unit struct when `profiling` is off.
-            profiler: Default::default(),
+            profiler: HotPathProfiler::default(),
             params,
         }
     }
@@ -1284,21 +1282,18 @@ impl MenshenPipeline {
     /// CAM lookups resolve once per `(module, burst)`, one scratch PHV is
     /// reused throughout, and per-module counters flush once at the end.
     ///
-    /// When the `profiling` cargo feature is on, one packet in N (see
+    /// When sampling is on, one packet in N (see
     /// [`set_profile_interval`](Self::set_profile_interval)) is timed per
-    /// stage into [`stage_profile`](Self::stage_profile); without the
-    /// feature the hooks compile to nothing.
+    /// stage into [`stage_profile`](Self::stage_profile).
     pub fn process_batch_into(&mut self, packets: &[Packet], out: &mut Vec<Verdict>) {
         out.clear();
         out.reserve(packets.len());
         let mut scratch = std::mem::take(&mut self.batch);
         scratch.begin(self.params.overlay_depth);
         for packet in packets {
-            // 1-in-N sampled stage profiling; without the `profiling`
-            // feature both calls are empty inlined no-ops.
-            let mut sample = self.profiler.begin();
-            let verdict = self.process_one(packet, &mut scratch, &mut sample);
-            self.profiler.commit(sample);
+            // 1-in-N sampled stage profiling: `process_one` marks phases.
+            self.profiler.begin();
+            let verdict = self.process_one(packet, &mut scratch);
             out.push(verdict);
         }
         // Flush the per-module counter deltas accumulated during the burst.
@@ -1314,16 +1309,17 @@ impl MenshenPipeline {
     }
 
     /// The accumulated hot-path stage profile: per-phase service-time
-    /// histograms from 1-in-N sampling on the data path. Permanently
-    /// empty unless the crate is built with the `profiling` feature and
-    /// sampling is enabled.
+    /// histograms from 1-in-N sampling on the data path. Empty unless
+    /// sampling was enabled.
     pub fn stage_profile(&self) -> StageProfile {
         self.profiler.profile()
     }
 
     /// Sets the hot-path sampling interval: one packet in `interval` is
-    /// timed per stage (0 disables sampling). Accumulated histograms are
-    /// kept. A no-op without the `profiling` feature.
+    /// timed per stage (0, the default, disables sampling). Accumulated
+    /// histograms are kept, and [`config_replica`](Self::config_replica)
+    /// copies the interval, so a pipeline handed to a sharded runtime
+    /// samples the same way on every shard.
     pub fn set_profile_interval(&mut self, interval: u64) {
         self.profiler.set_interval(interval);
     }
@@ -1333,25 +1329,24 @@ impl MenshenPipeline {
     /// comes out of the burst scratch and counters accumulate there. The
     /// packet is only cloned on the forwarding path (the deparser rewrites
     /// it); dropped packets touch no heap at all.
-    fn process_one(
-        &mut self,
-        packet: &Packet,
-        scratch: &mut BatchScratch,
-        sample: &mut PacketSample,
-    ) -> Verdict {
+    ///
+    /// Every path marks each profiler phase at most once — the profiler
+    /// records each mark as one histogram sample, so a second mark of the
+    /// same phase would split that phase's time in two.
+    fn process_one(&mut self, packet: &Packet, scratch: &mut BatchScratch) -> Verdict {
         self.cycle += 1;
         let decision = self.filter.classify(packet);
         let (module_id, buffer_tag) = match decision {
             FilterDecision::Reconfiguration => {
                 // Data-path reconfiguration attempts are untrusted and dropped.
-                sample.mark(Phase::Filter);
+                self.profiler.mark(Phase::Filter);
                 return Verdict::Dropped {
                     reason: DropReason::UntrustedReconfiguration,
                     module_id: None,
                 };
             }
             FilterDecision::DropNoVlan => {
-                sample.mark(Phase::Filter);
+                self.profiler.mark(Phase::Filter);
                 return Verdict::Dropped {
                     reason: DropReason::NoVlan,
                     module_id: None,
@@ -1361,7 +1356,7 @@ impl MenshenPipeline {
                 if let Some(runtime) = self.modules.get_mut(&module_id) {
                     runtime.counters.packets_dropped += 1;
                 }
-                sample.mark(Phase::Filter);
+                self.profiler.mark(Phase::Filter);
                 return Verdict::Dropped {
                     reason: DropReason::BeingReconfigured,
                     module_id: Some(module_id),
@@ -1376,7 +1371,7 @@ impl MenshenPipeline {
         let slot = match self.modules.get(&module_id).map(|m| m.slot) {
             Some(slot) => slot,
             None => {
-                sample.mark(Phase::Filter);
+                self.profiler.mark(Phase::Filter);
                 return Verdict::Dropped {
                     reason: DropReason::UnknownModule,
                     module_id: Some(module_id),
@@ -1387,7 +1382,7 @@ impl MenshenPipeline {
         if scratch.slots[slot].epoch != scratch.epoch {
             self.resolve_slot(slot, module_id, scratch);
         }
-        sample.mark(Phase::Filter);
+        self.profiler.mark(Phase::Filter);
         // Disjoint borrows of the scratch: slot state and the shared PHV.
         let slot_scratch = &mut scratch.slots[slot];
         let phv = &mut scratch.phv;
@@ -1399,14 +1394,14 @@ impl MenshenPipeline {
         // Parse with the module's own parser entry, reusing the burst PHV.
         if parser::parse_into(phv, packet, &slot_scratch.parser, module_id).is_err() {
             slot_scratch.counters.packets_dropped += 1;
-            sample.mark(Phase::Parse);
+            self.profiler.mark(Phase::Parse);
             return Verdict::Dropped {
                 reason: DropReason::ModuleDiscard,
                 module_id: Some(module_id),
             };
         }
         phv.metadata.buffer_tag = 1 << buffer_tag;
-        sample.mark(Phase::Parse);
+        self.profiler.mark(Phase::Parse);
 
         // System-level module, first half.
         self.system.ingress(phv, packet_len, self.cycle);
@@ -1415,7 +1410,7 @@ impl MenshenPipeline {
         for (stage, resolved) in self.stages.iter_mut().zip(&slot_scratch.stages) {
             stage.step(slot, module_id, resolved, phv);
         }
-        sample.mark(Phase::Match);
+        self.profiler.mark(Phase::Match);
 
         if phv.metadata.discard {
             slot_scratch.counters.packets_dropped += 1;
@@ -1429,13 +1424,13 @@ impl MenshenPipeline {
         let mut packet = packet.clone();
         if deparser::deparse(&mut packet, phv, &slot_scratch.deparser).is_err() {
             slot_scratch.counters.packets_dropped += 1;
-            sample.mark(Phase::Deparse);
+            self.profiler.mark(Phase::Deparse);
             return Verdict::Dropped {
                 reason: DropReason::ModuleDiscard,
                 module_id: Some(module_id),
             };
         }
-        sample.mark(Phase::Deparse);
+        self.profiler.mark(Phase::Deparse);
 
         // System-level module, second half: routing / multicast.
         let dst_ip = packet.ipv4_dst().unwrap_or(Ipv4Address::new(0, 0, 0, 0));
@@ -1453,7 +1448,7 @@ impl MenshenPipeline {
             phv: phv.clone(),
             module_id,
         };
-        sample.mark(Phase::Egress);
+        self.profiler.mark(Phase::Egress);
         verdict
     }
 

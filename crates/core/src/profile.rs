@@ -4,10 +4,12 @@
 //! The batched hot path runs at millions of packets per second, so
 //! unconditional `Instant::now()` pairs around every stage would cost more
 //! than some stages themselves. Instead the pipeline samples **one packet
-//! in N** (default [`DEFAULT_PROFILE_INTERVAL`]): the unsampled packets pay
-//! one counter decrement and a predictable branch, and the sampled packet
-//! pays the clock reads, attributing wall time to the five pipeline phases
-//! in [`PROFILE_PHASES`]:
+//! in N**, set per pipeline by
+//! [`MenshenPipeline::set_profile_interval`](crate::pipeline::MenshenPipeline::set_profile_interval)
+//! (0, the default, is off; replicas copy it). An unsampled packet pays
+//! one predictable branch in `begin` and one in each `mark`; the sampled
+//! packet pays the clock reads, attributing wall time to the five pipeline
+//! phases in [`PROFILE_PHASES`]:
 //!
 //! 1. `filter` — packet-filter classification and module-slot resolution;
 //! 2. `parse` — header parsing into the PHV;
@@ -15,23 +17,15 @@
 //! 4. `deparse` — PHV write-back into the packet bytes;
 //! 5. `egress` — routing and verdict construction.
 //!
-//! Everything is gated behind the `profiling` cargo feature. Without it,
-//! [`HotPathProfiler`] and [`PacketSample`] are zero-sized types whose
-//! methods are empty `#[inline(always)]` bodies — the hot path compiles to
-//! exactly what it was before. The overhead with the feature on is not
-//! measured anywhere yet.
-//!
-//! Early-dropped packets (no VLAN, unknown module, …) commit whatever
+//! Early-dropped packets (no VLAN, unknown module, …) record whatever
 //! phases they reached — partial samples are real cost attribution, not
 //! noise — so phase histograms may have differing counts.
 
 use crate::telemetry::{BaselineMismatch, LatencyHistogram};
+use std::time::Instant;
 
 /// The five hot-path phases, in pipeline order. Index with [`Phase`].
 pub const PROFILE_PHASES: [&str; 5] = ["filter", "parse", "match", "deparse", "egress"];
-
-/// The default sampling interval: time one packet in 256.
-pub const DEFAULT_PROFILE_INTERVAL: u64 = 256;
 
 /// A hot-path phase (indexes [`PROFILE_PHASES`] and
 /// [`StageProfile::phase_ns`]).
@@ -52,10 +46,9 @@ pub enum Phase {
 
 /// The accumulated per-phase timing distributions of one pipeline.
 ///
-/// Always available as a type (so snapshots and exporters need no feature
-/// gates); without the `profiling` feature it is permanently empty.
-/// Merges bucket-exactly like everything else in the telemetry plane, so
-/// per-shard profiles fold into one fleet view.
+/// Empty while sampling is off (interval 0). Merges bucket-exactly like
+/// everything else in the telemetry plane, so per-shard profiles fold into
+/// one fleet view.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct StageProfile {
     /// The sampling interval the profile was recorded at (0 = disabled).
@@ -111,175 +104,83 @@ impl StageProfile {
     }
 }
 
-#[cfg(feature = "profiling")]
-mod imp {
-    use super::{Phase, StageProfile, DEFAULT_PROFILE_INTERVAL, PROFILE_PHASES};
-    use std::time::Instant;
+/// The per-pipeline sampling profiler: one packet in `interval` is timed
+/// phase by phase straight into its [`StageProfile`] (0 = off, the
+/// default).
+#[derive(Debug, Clone, Default)]
+pub struct HotPathProfiler {
+    interval: u64,
+    countdown: u64,
+    /// The previous mark of the packet being sampled; `None` for every
+    /// other packet, which makes [`mark`](Self::mark) a single branch.
+    last: Option<Instant>,
+    profile: StageProfile,
+}
 
-    /// The per-pipeline sampling profiler (feature `profiling`: live).
-    #[derive(Debug, Clone)]
-    pub struct HotPathProfiler {
-        interval: u64,
-        countdown: u64,
-        profile: StageProfile,
+impl HotPathProfiler {
+    /// A profiler sampling one packet in `interval` (0 disables).
+    pub fn with_interval(interval: u64) -> Self {
+        let mut profiler = HotPathProfiler::default();
+        profiler.set_interval(interval);
+        profiler
     }
 
-    impl Default for HotPathProfiler {
-        fn default() -> Self {
-            HotPathProfiler::with_interval(DEFAULT_PROFILE_INTERVAL)
-        }
+    /// Changes the sampling interval (0 disables). Accumulated phase
+    /// histograms are kept.
+    pub fn set_interval(&mut self, interval: u64) {
+        self.interval = interval;
+        self.countdown = interval;
+        self.last = None;
+        self.profile.interval = interval;
     }
 
-    impl HotPathProfiler {
-        /// A profiler sampling one packet in `interval` (0 disables).
-        pub fn with_interval(interval: u64) -> Self {
-            HotPathProfiler {
-                interval,
-                countdown: interval,
-                profile: StageProfile {
-                    interval,
-                    ..StageProfile::default()
-                },
-            }
-        }
+    /// The configured interval (0 = disabled).
+    pub fn interval(&self) -> u64 {
+        self.interval
+    }
 
-        /// Changes the sampling interval (0 disables). Accumulated phase
-        /// histograms are kept.
-        pub fn set_interval(&mut self, interval: u64) {
-            self.interval = interval;
-            self.countdown = interval;
-            self.profile.interval = interval;
+    /// Called once per packet before its first [`mark`](Self::mark): arms
+    /// the sample on the 1-in-N packet and disarms it on every other one.
+    #[inline]
+    pub fn begin(&mut self) {
+        if self.interval == 0 {
+            return;
         }
-
-        /// The configured interval (0 = disabled).
-        pub fn interval(&self) -> u64 {
-            self.interval
-        }
-
-        /// Called once per packet on the hot path. Returns an active sample
-        /// for the 1-in-N packet, an inert one otherwise.
-        #[inline]
-        pub fn begin(&mut self) -> PacketSample {
-            if self.interval == 0 {
-                return PacketSample::inert();
-            }
-            self.countdown -= 1;
-            if self.countdown == 0 {
-                self.countdown = self.interval;
-                PacketSample {
-                    last: Some(Instant::now()),
-                    durs: [0; PROFILE_PHASES.len()],
-                    marked: [false; PROFILE_PHASES.len()],
-                }
-            } else {
-                PacketSample::inert()
-            }
-        }
-
-        /// Folds a finished sample into the profile. Phases the packet
-        /// never reached (early drop) are simply absent from this sample.
-        #[inline]
-        pub fn commit(&mut self, sample: PacketSample) {
-            if sample.last.is_none() {
-                return;
-            }
+        self.countdown -= 1;
+        if self.countdown == 0 {
+            self.countdown = self.interval;
             self.profile.sampled += 1;
-            for (index, hist) in self.profile.phase_ns.iter_mut().enumerate() {
-                if sample.marked[index] {
-                    hist.record(sample.durs[index]);
-                }
-            }
-        }
-
-        /// A copy of the accumulated profile.
-        pub fn profile(&self) -> StageProfile {
-            self.profile.clone()
+            self.last = Some(Instant::now());
+        } else {
+            self.last = None;
         }
     }
 
-    /// One packet's in-flight phase timings (feature `profiling`: live).
-    #[derive(Debug)]
-    pub struct PacketSample {
-        last: Option<Instant>,
-        durs: [u64; PROFILE_PHASES.len()],
-        marked: [bool; PROFILE_PHASES.len()],
+    /// Closes the phase that just ran on a sampled packet: records the
+    /// time since the previous mark (or since [`begin`](Self::begin)) as
+    /// one `phase` sample. Recording directly is exact only because a
+    /// packet marks each phase at most once; callers keep that invariant.
+    #[inline]
+    pub fn mark(&mut self, phase: Phase) {
+        if let Some(last) = self.last {
+            self.record(phase, last);
+        }
     }
 
-    impl PacketSample {
-        #[inline]
-        fn inert() -> Self {
-            PacketSample {
-                last: None,
-                durs: [0; PROFILE_PHASES.len()],
-                marked: [false; PROFILE_PHASES.len()],
-            }
-        }
+    /// The sampled packet's half of [`mark`](Self::mark), kept out of line
+    /// so the unsampled path stays one branch.
+    #[cold]
+    fn record(&mut self, phase: Phase, last: Instant) {
+        let now = Instant::now();
+        self.profile.phase_ns[phase as usize].record(now.duration_since(last).as_nanos() as u64);
+        self.last = Some(now);
+    }
 
-        /// Closes the phase that just ran: attributes the time since the
-        /// previous mark (or since `begin`) to `phase`.
-        #[inline]
-        pub fn mark(&mut self, phase: Phase) {
-            if let Some(last) = self.last {
-                let now = Instant::now();
-                self.durs[phase as usize] += now.duration_since(last).as_nanos() as u64;
-                self.marked[phase as usize] = true;
-                self.last = Some(now);
-            }
-        }
+    /// A copy of the accumulated profile.
+    pub fn profile(&self) -> StageProfile {
+        self.profile.clone()
     }
 }
-
-#[cfg(not(feature = "profiling"))]
-mod imp {
-    use super::{Phase, StageProfile};
-
-    /// The per-pipeline sampling profiler (feature `profiling` off: a
-    /// zero-sized no-op, so the hot path is untouched).
-    #[derive(Debug, Clone, Default)]
-    pub struct HotPathProfiler;
-
-    impl HotPathProfiler {
-        /// No-op constructor (feature off).
-        pub fn with_interval(_interval: u64) -> Self {
-            HotPathProfiler
-        }
-
-        /// No-op (feature off).
-        pub fn set_interval(&mut self, _interval: u64) {}
-
-        /// Always 0 (feature off).
-        pub fn interval(&self) -> u64 {
-            0
-        }
-
-        /// No-op (feature off).
-        #[inline(always)]
-        pub fn begin(&mut self) -> PacketSample {
-            PacketSample
-        }
-
-        /// No-op (feature off).
-        #[inline(always)]
-        pub fn commit(&mut self, _sample: PacketSample) {}
-
-        /// Always empty (feature off).
-        pub fn profile(&self) -> StageProfile {
-            StageProfile::default()
-        }
-    }
-
-    /// One packet's in-flight phase timings (feature off: zero-sized).
-    #[derive(Debug)]
-    pub struct PacketSample;
-
-    impl PacketSample {
-        /// No-op (feature off).
-        #[inline(always)]
-        pub fn mark(&mut self, _phase: Phase) {}
-    }
-}
-
-pub use imp::{HotPathProfiler, PacketSample};
 
 #[cfg(test)]
 mod tests {
@@ -313,15 +214,13 @@ mod tests {
         assert!(b.subtracting(&a).is_err(), "a later profile is no baseline");
     }
 
-    #[cfg(feature = "profiling")]
     #[test]
     fn profiler_samples_one_in_n() {
         let mut profiler = HotPathProfiler::with_interval(4);
         for _ in 0..16 {
-            let mut sample = profiler.begin();
-            sample.mark(Phase::Filter);
-            sample.mark(Phase::Parse);
-            profiler.commit(sample);
+            profiler.begin();
+            profiler.mark(Phase::Filter);
+            profiler.mark(Phase::Parse);
         }
         let profile = profiler.profile();
         assert_eq!(profile.sampled, 4, "exactly 1 in 4 packets sampled");
@@ -336,21 +235,24 @@ mod tests {
 
         profiler.set_interval(0);
         for _ in 0..16 {
-            let sample = profiler.begin();
-            profiler.commit(sample);
+            profiler.begin();
+            profiler.mark(Phase::Filter);
         }
-        assert_eq!(profiler.profile().sampled, 4, "interval 0 disables");
+        let profile = profiler.profile();
+        assert_eq!(profile.sampled, 4, "interval 0 disables");
+        assert_eq!(profile.phase_ns[Phase::Filter as usize].count(), 4);
     }
 
-    #[cfg(not(feature = "profiling"))]
     #[test]
     fn disabled_profiler_is_inert() {
-        let mut profiler = HotPathProfiler::with_interval(1);
-        let mut sample = profiler.begin();
-        sample.mark(Phase::Filter);
-        profiler.commit(sample);
+        let mut profiler = HotPathProfiler::default();
+        profiler.begin();
+        profiler.mark(Phase::Filter);
         assert!(profiler.profile().is_empty());
         assert_eq!(profiler.interval(), 0);
-        assert_eq!(std::mem::size_of::<PacketSample>(), 0);
+        assert_eq!(
+            profiler.profile().phase_ns[Phase::Filter as usize].count(),
+            0
+        );
     }
 }

@@ -2843,28 +2843,11 @@ impl ShardedRuntime {
     }
 
     /// Merged sampled stage-timing profile across all shards (live +
-    /// retired). Permanently empty unless `menshen-core` was built with the
-    /// `profiling` cargo feature.
+    /// retired). Empty unless the pipeline handed to
+    /// [`from_pipeline`](Self::from_pipeline) had a sampling interval set
+    /// ([`MenshenPipeline::set_profile_interval`]); every replica copies it.
     pub fn aggregated_profile(&mut self) -> Result<StageProfile, RuntimeError> {
         Ok(self.aggregate()?.0.profile)
-    }
-
-    /// Sets the hot-path profiling sample interval (1-in-N; 0 disables) on
-    /// every shard replica. Deterministic mode only — threaded replicas
-    /// live on their worker threads. A no-op on the timing side unless
-    /// `menshen-core` was built with the `profiling` cargo feature.
-    pub fn set_profile_interval(&mut self, interval: u64) -> Result<(), RuntimeError> {
-        let Backend::Deterministic(shards) = &mut self.backend else {
-            return Err(RuntimeError::WrongMode(
-                "set_profile_interval requires deterministic mode",
-            ));
-        };
-        for shard in shards.iter_mut() {
-            shard.pipeline.set_profile_interval(interval);
-        }
-        // Future standbys (resize scale-out) inherit the setting too.
-        self.genesis.set_profile_interval(interval);
-        Ok(())
     }
 
     /// The packet-conservation audit: quiesces the plane (flush + one

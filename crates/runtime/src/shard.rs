@@ -178,9 +178,9 @@ pub struct ShardTelemetry {
     /// by module ID. Tenant 0 collects packets that never resolved to a
     /// module (no VLAN tag, VLAN with no loaded module).
     pub tenants: BTreeMap<u16, TenantTelemetry>,
-    /// Sampled per-stage timing of the shard's replica (empty unless the
-    /// `profiling` cargo feature is enabled in `menshen-core`). Filled in
-    /// when the record is snapshotted.
+    /// Sampled per-stage timing of the shard's replica (empty while its
+    /// pipeline's sampling interval is 0). Filled in when the record is
+    /// snapshotted.
     pub profile: StageProfile,
     /// Packets observed on the replica's ingress link, filled in when the
     /// record is snapshotted.

@@ -8,8 +8,8 @@
 //! * `results/trace.json` — the control-plane event trace as Chrome
 //!   trace-event JSON (open it at `chrome://tracing` or in Perfetto).
 //!
-//! Run with `cargo run --example observability` (add
-//! `--features profiling` to see the sampled per-stage timings too).
+//! The template samples one packet in 64 per stage, so the run also prints
+//! the hot-path profile. Run with `cargo run --example observability`.
 
 use menshen::core::MenshenPipeline;
 use menshen::runtime::{RuntimeOptions, ShardedRuntime};
@@ -19,10 +19,12 @@ use menshen_bench::workloads::flow_rule_tenant;
 
 const RULES: usize = 128;
 const PACKETS: usize = 8_192;
+const PROFILE_INTERVAL: u64 = 64;
 
 fn main() {
     let params = menshen::rmt::TABLE5.with_table_depth(1024);
     let mut template = MenshenPipeline::new(params);
+    template.set_profile_interval(PROFILE_INTERVAL);
     for module_id in 1..=2 {
         template
             .load_module(&flow_rule_tenant(module_id, RULES))
@@ -91,16 +93,15 @@ fn main() {
     );
 
     let profile = runtime.aggregated_profile().unwrap();
-    if profile.sampled > 0 {
-        println!("\nsampled hot-path profile ({} packets):", profile.sampled);
-        for (stage, hist) in menshen::core::PROFILE_PHASES.iter().zip(&profile.phase_ns) {
-            let pct = hist.percentiles();
-            println!(
-                "  {stage:<8} p50 {:>6} ns  p99 {:>6} ns",
-                pct.p50_ns, pct.p99_ns
-            );
-        }
-    } else {
-        println!("\n(build with --features profiling to sample per-stage timings)");
+    println!(
+        "\nsampled hot-path profile (1 in {}, {} packets):",
+        profile.interval, profile.sampled
+    );
+    for (stage, hist) in menshen::core::PROFILE_PHASES.iter().zip(&profile.phase_ns) {
+        let pct = hist.percentiles();
+        println!(
+            "  {stage:<8} p50 {:>6} ns  p99 {:>6} ns",
+            pct.p50_ns, pct.p99_ns
+        );
     }
 }

@@ -3,7 +3,7 @@
 //! metrics snapshot must emit parseable Prometheus text exposition, and the
 //! packet-conservation audit must balance after real traffic.
 
-use menshen::core::{validate_prometheus, MenshenPipeline, MetricValue, MetricsSnapshot};
+use menshen::core::{validate_prometheus, MenshenPipeline, MetricValue, MetricsSnapshot, Phase};
 use menshen::runtime::{
     chrome_trace_to_events, ControlEventKind, FaultPlan, RuntimeOptions, ShardedRuntime,
     SteeringMode,
@@ -245,6 +245,52 @@ fn conservation_audit_balances_after_threaded_replay() {
     assert_eq!(audit.forwarded + audit.dropped, 1024);
 }
 
+/// The sampling interval is a property of the template pipeline: both
+/// backends' replicas copy it, each shard samples exactly every 8th packet
+/// it processed, and every sampled packet records its filter phase. A
+/// template without an interval yields an empty profile.
+#[test]
+fn template_interval_samples_one_in_n_on_both_backends() {
+    let mut sampling = template();
+    sampling.set_profile_interval(8);
+    let expect_one_in_eight = |runtime: &mut ShardedRuntime| {
+        let expected: u64 = runtime
+            .shard_stats()
+            .iter()
+            .map(|stats| stats.packets / 8)
+            .sum();
+        let profile = runtime.aggregated_profile().unwrap();
+        assert!(expected > 0);
+        assert_eq!(profile.sampled, expected);
+        assert_eq!(profile.interval, 8);
+        assert_eq!(
+            profile.phase_ns[Phase::Filter as usize].count(),
+            profile.sampled
+        );
+    };
+
+    let mut threaded = ShardedRuntime::from_pipeline(&sampling, RuntimeOptions::threaded(2));
+    threaded.submit_owned(trace(1024)).unwrap();
+    threaded.flush();
+    expect_one_in_eight(&mut threaded);
+
+    let mut deterministic =
+        ShardedRuntime::from_pipeline(&sampling, RuntimeOptions::deterministic(4));
+    deterministic.process_batch(trace(1024)).unwrap();
+    deterministic.process_batch(trace(512)).unwrap();
+    expect_one_in_eight(&mut deterministic);
+
+    let mut off = ShardedRuntime::from_pipeline(&template(), RuntimeOptions::threaded(2));
+    off.submit_owned(trace(1024)).unwrap();
+    off.flush();
+    let profile = off.aggregated_profile().unwrap();
+    assert!(
+        profile.is_empty(),
+        "interval 0 samples nothing: {profile:?}"
+    );
+    assert_eq!(profile.interval, 0);
+}
+
 /// Every view of the books tells one story across retirement and recovery:
 /// after a 4 → 2 shrink with traffic on both sides, the metrics exposition's
 /// tenant and sojourn series equal the aggregates, and the ledgers sum to
@@ -253,27 +299,24 @@ fn conservation_audit_balances_after_threaded_replay() {
 /// record subtracts cleanly.
 #[test]
 fn aggregate_views_agree_across_retirement_and_recovery() {
+    let mut sampling = template();
+    sampling.set_profile_interval(8);
     let mut runtime = ShardedRuntime::from_pipeline(
-        &template(),
+        &sampling,
         RuntimeOptions::deterministic(4).with_steering(SteeringMode::FiveTuple),
     );
-    runtime.set_profile_interval(8).unwrap();
     runtime.process_batch(trace(1024)).unwrap();
-    #[cfg(feature = "profiling")]
     let sampled_before_shrink = runtime.aggregated_profile().unwrap().sampled;
     runtime.resize(2).unwrap();
     let retired = runtime.retired_tally();
     assert_eq!(retired.shards_retired, 2);
     assert!(retired.stats.packets > 0, "the retired shards saw traffic");
-    #[cfg(feature = "profiling")]
-    {
-        let sampled = runtime.aggregated_profile().unwrap().sampled;
-        assert!(sampled_before_shrink > 0);
-        assert!(
-            sampled >= sampled_before_shrink,
-            "a retired shard's profile must survive: {sampled_before_shrink} -> {sampled}"
-        );
-    }
+    let sampled = runtime.aggregated_profile().unwrap().sampled;
+    assert!(sampled_before_shrink > 0);
+    assert!(
+        sampled >= sampled_before_shrink,
+        "a retired shard's profile must survive: {sampled_before_shrink} -> {sampled}"
+    );
     runtime.process_batch(trace(512)).unwrap();
 
     let snapshot = runtime.metrics_snapshot().unwrap();
@@ -319,7 +362,6 @@ fn aggregate_views_agree_across_retirement_and_recovery() {
     assert!(audit.is_balanced(), "{audit:?}");
     assert_eq!(ledgers, audit.ledger_total);
     assert_eq!(ledgers, 1536);
-    #[cfg(feature = "profiling")]
     assert_eq!(
         counter("menshen_stage_samples_total", &[]),
         runtime.aggregated_profile().unwrap().sampled
