@@ -20,13 +20,15 @@
 //!
 //! Around these sit the [`packet_filter::PacketFilter`] (secure separation of
 //! reconfiguration traffic and the "being reconfigured" bitmap), the
-//! [`reconfig`] daisy chain (the only way configuration is ever written), the
-//! [`system_module::SystemModule`] (virtual IPs, routing, multicast, device
-//! statistics), the [`resources::ResourceChecker`] (static admission control)
-//! and the [`sw_interface::ControlPlane`] (the P4Runtime-like software
-//! surface).
+//! [`reconfig`] daisy chain (the only way configuration is ever written) and
+//! the [`system_module::SystemModule`] (virtual IPs, routing, multicast,
+//! device statistics).
 //!
-//! The full multi-module data path is [`pipeline::MenshenPipeline`].
+//! The full multi-module data path is [`pipeline::MenshenPipeline`]. It is
+//! also the one admission boundary:
+//! [`check_module_config`](pipeline::MenshenPipeline::check_module_config)
+//! runs the §3.4 static checks and the operator's
+//! [`resources::SharingPolicy`] before every load and update.
 //!
 //! # Quick example
 //!
@@ -56,7 +58,6 @@ pub mod profile;
 pub mod reconfig;
 pub mod resources;
 pub mod segment_table;
-pub mod sw_interface;
 pub mod system_module;
 pub mod telemetry;
 
@@ -78,9 +79,8 @@ pub use pipeline::{
 };
 pub use profile::{Phase, StageProfile, PROFILE_PHASES};
 pub use reconfig::{ReconfigCommand, ResourceKind, WritePayload};
-pub use resources::{ResourceChecker, SharingPolicy};
+pub use resources::SharingPolicy;
 pub use segment_table::{SegmentEntry, SegmentTable, SegmentTranslator};
-pub use sw_interface::{ControlPlane, DeviceStats};
 pub use system_module::{ForwardingDecision, SystemModule, SystemStats};
 pub use telemetry::{BaselineMismatch, Gauge, LatencyHistogram, Percentiles};
 
@@ -95,6 +95,5 @@ pub mod prelude {
     };
     pub use crate::pipeline::{DropReason, MenshenPipeline, Verdict, BURST_SIZE};
     pub use crate::resources::SharingPolicy;
-    pub use crate::sw_interface::ControlPlane;
     pub use crate::system_module::SystemModule;
 }

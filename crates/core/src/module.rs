@@ -41,9 +41,10 @@ impl core::fmt::Display for ModuleId {
     }
 }
 
-/// The amount of each partitioned resource a module is granted (per stage
-/// where applicable). The resource checker compares a compiled module's usage
-/// against this allocation before admission (§3.4).
+/// An amount of each partitioned resource (per stage where applicable): what
+/// a compiled module uses ([`ModuleConfig::usage`]), which admission control
+/// compares with the sharing policy's share (§3.4,
+/// [`MenshenPipeline::check_module_config`](crate::pipeline::MenshenPipeline::check_module_config)).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResourceAllocation {
     /// Match-action entries the module may occupy in each stage.

@@ -95,13 +95,7 @@ impl RangeAllocator {
             self.allocations.insert(module, alloc);
             return Ok(alloc);
         }
-        let start = self
-            .find_gap(len)
-            .map_err(|largest| CoreError::InsufficientResource {
-                resource: self.resource.clone(),
-                requested: len,
-                available: largest,
-            })?;
+        let start = self.find_gap(len, None)?;
         let alloc = Allocation { start, len };
         self.allocations.insert(module, alloc);
         Ok(alloc)
@@ -112,16 +106,27 @@ impl RangeAllocator {
         self.allocations.remove(&module)
     }
 
-    /// Finds the lowest-addressed gap of at least `len` units (first fit).
-    /// When none fits, returns the largest gap there is: the most one
-    /// contiguous grant could be, not the fragmented total of
-    /// [`free`](Self::free).
-    fn find_gap(&self, len: usize) -> std::result::Result<usize, usize> {
+    /// Checks that `module` could be granted `len` units once its current
+    /// range is released — what an update must know before it unloads the
+    /// running program. Fails with the error [`allocate`](Self::allocate)
+    /// would then return.
+    pub fn check_reallocate(&self, module: ModuleId, len: usize) -> Result<()> {
+        if len == 0 {
+            return Ok(());
+        }
+        self.find_gap(len, Some(module)).map(|_| ())
+    }
+
+    /// Finds the lowest-addressed gap of at least `len` units (first fit),
+    /// counting `released`'s range as free. When none fits, the error names
+    /// the largest gap there is: the most one contiguous grant could be, not
+    /// the fragmented total of [`free`](Self::free).
+    fn find_gap(&self, len: usize, released: Option<ModuleId>) -> Result<usize> {
         let mut ranges: Vec<Allocation> = self
             .allocations
-            .values()
-            .filter(|a| a.len > 0)
-            .copied()
+            .iter()
+            .filter(|(owner, a)| a.len > 0 && Some(**owner) != released)
+            .map(|(_, a)| *a)
             .collect();
         ranges.sort_by_key(|a| a.start);
         let mut cursor = 0usize;
@@ -138,13 +143,12 @@ impl RangeAllocator {
         if gap >= len {
             Ok(cursor)
         } else {
-            Err(largest.max(gap))
+            Err(CoreError::InsufficientResource {
+                resource: self.resource.clone(),
+                requested: len,
+                available: largest.max(gap),
+            })
         }
-    }
-
-    /// All current allocations (module, range), ordered by module ID.
-    pub fn allocations(&self) -> impl Iterator<Item = (ModuleId, Allocation)> + '_ {
-        self.allocations.iter().map(|(m, a)| (*m, *a))
     }
 
     /// Checks the global invariant that no two modules' ranges overlap.
@@ -226,6 +230,28 @@ mod tests {
         ));
         let a = alloc.allocate(ModuleId::new(5), 4).unwrap();
         assert_eq!(a.start, 0);
+    }
+
+    #[test]
+    fn reallocation_counts_only_the_module_own_range_as_free() {
+        let mut alloc = RangeAllocator::new("cam", 16);
+        alloc.allocate(ModuleId::new(1), 10).unwrap(); // [0,10)
+        alloc.allocate(ModuleId::new(2), 4).unwrap(); // [10,14)
+        assert_eq!(alloc.check_reallocate(ModuleId::new(1), 10), Ok(()));
+        assert!(matches!(
+            alloc.check_reallocate(ModuleId::new(1), 11),
+            Err(CoreError::InsufficientResource {
+                requested: 11,
+                available: 10,
+                ..
+            })
+        ));
+        // Module 2 regrows into the tail, not into module 1's range.
+        assert_eq!(alloc.check_reallocate(ModuleId::new(2), 6), Ok(()));
+        assert!(alloc.check_reallocate(ModuleId::new(2), 7).is_err());
+        assert_eq!(alloc.check_reallocate(ModuleId::new(2), 0), Ok(()));
+        // The query changes nothing.
+        assert_eq!(alloc.used(), 14);
     }
 
     #[test]

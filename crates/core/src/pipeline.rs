@@ -52,6 +52,7 @@ use crate::packet_filter::{FilterDecision, PacketFilter, RECONFIG_BITMAP_SLOTS};
 use crate::partition::{Allocation, RangeAllocator};
 use crate::profile::{HotPathProfiler, Phase, StageProfile};
 use crate::reconfig::{ReconfigCommand, ResourceKind, WritePayload};
+use crate::resources::SharingPolicy;
 use crate::segment_table::{SegmentEntry, SegmentTable, SegmentTranslator};
 use crate::system_module::{ForwardingDecision, SystemModule};
 use crate::Result;
@@ -73,6 +74,10 @@ use std::collections::HashMap;
 /// Callers may pass bursts of any length; this constant is the batch size the
 /// testbed and benchmarks use when they chop a packet stream into bursts.
 pub const BURST_SIZE: usize = 32;
+
+/// Bytes 12–15 of a tagged frame: the VLAN TPID and TCI. The VID in the TCI
+/// is the packet's module ID, so no module's deparser may write any of them.
+const VLAN_TAG_BYTES: std::ops::Range<usize> = 12..16;
 
 /// Why a packet was dropped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -434,6 +439,7 @@ pub struct MenshenPipeline {
     cycle: u64,
     batch: BatchScratch,
     profiler: HotPathProfiler,
+    policy: SharingPolicy,
 }
 
 impl MenshenPipeline {
@@ -461,6 +467,7 @@ impl MenshenPipeline {
             cycle: 0,
             batch: BatchScratch::default(),
             profiler: HotPathProfiler::default(),
+            policy: SharingPolicy::default(),
             params,
         }
     }
@@ -520,34 +527,6 @@ impl MenshenPipeline {
             .get(&module.value())
             .and_then(|m| m.cam_ranges.get(stage))
             .copied()
-    }
-
-    /// The module ID that owns the CAM entry at `(stage, index)`, if occupied.
-    pub fn cam_entry_owner(&self, stage: usize, index: usize) -> Option<u16> {
-        self.stages
-            .get(stage)?
-            .hw
-            .cam
-            .entry(index)
-            .map(|e| e.module_id)
-    }
-
-    /// True if the CAM address at `(stage, index)` lies inside the range
-    /// space-partitioned to a module other than `module`.
-    pub fn cam_index_reserved_for_other(
-        &self,
-        stage: usize,
-        index: usize,
-        module: ModuleId,
-    ) -> bool {
-        self.stages
-            .get(stage)
-            .map(|s| {
-                s.cam_alloc
-                    .allocations()
-                    .any(|(owner, range)| owner != module && range.contains(index))
-            })
-            .unwrap_or(false)
     }
 
     /// Reads one word of a module's stateful memory in `stage`, through the
@@ -869,12 +848,46 @@ impl MenshenPipeline {
         }
     }
 
-    /// The static checks a configuration must pass before any resource is
-    /// allocated or, on an update, before the running program is removed:
-    /// it spans at most the pipeline's stages, each stage's rule lists fit
-    /// its match kind, and the parser and deparser entries each fit one
-    /// table row ([`ParserEntry::validate`](menshen_rmt::ParserEntry::validate))
-    /// — which is also what makes every loaded parser digestible.
+    /// Sets the sharing policy every later load and update is admitted
+    /// under ([`check_module_config`](Self::check_module_config)); modules
+    /// already loaded keep what they hold. The default is
+    /// [`SharingPolicy::FirstComeFirstServed`].
+    /// [`config_replica`](Self::config_replica) copies the policy, so a
+    /// pipeline handed to a sharded runtime admits the same way on every
+    /// shard.
+    pub fn set_sharing_policy(&mut self, policy: SharingPolicy) {
+        self.policy = policy;
+    }
+
+    /// The sharing policy loads and updates are admitted under.
+    pub fn sharing_policy(&self) -> SharingPolicy {
+        self.policy
+    }
+
+    /// Admission control (§3.4): the checks a configuration must pass
+    /// before any resource is allocated or, on an update, before the running
+    /// program is removed. Every load path runs it — this pipeline's
+    /// [`load_module`](Self::load_module) and
+    /// [`update_module`](Self::update_module), and through them every shard
+    /// replica of the sharded runtime, which also runs it before publishing
+    /// an epoch. A configuration is admitted only if
+    ///
+    /// * it spans at most the pipeline's stages;
+    /// * each stage's rule lists fit its match kind;
+    /// * the parser and deparser entries each fit one table row
+    ///   ([`ParserEntry::validate`](menshen_rmt::ParserEntry::validate)),
+    ///   which is also what makes every loaded parser digestible;
+    /// * no deparser action writes the VLAN tag (bytes 12–15, whose VID is
+    ///   the module ID), so a module cannot send traffic as another module;
+    /// * under [`SharingPolicy::EqualShare`], each stage's match entries
+    ///   and stateful words fit the policy's share
+    ///   ([`SharingPolicy::share`]); a breach is
+    ///   [`CoreError::AllocationExceeded`].
+    ///   [`SharingPolicy::FirstComeFirstServed`] adds no check: the range
+    ///   allocator refuses what no longer fits.
+    ///
+    /// The paper's other two binary rules hold by construction: no ALU
+    /// opcode recirculates a packet or writes the system module's statistics.
     pub fn check_module_config(&self, config: &ModuleConfig) -> Result<()> {
         if config.stages.len() > self.params.num_stages {
             return Err(CoreError::Rmt(
@@ -890,6 +903,43 @@ impl MenshenPipeline {
         }
         config.parser.validate()?;
         config.deparser.validate()?;
+        for action in &config.deparser.actions {
+            let start = usize::from(action.offset);
+            let end = start + action.container.width_bytes();
+            if start < VLAN_TAG_BYTES.end && VLAN_TAG_BYTES.start < end {
+                return Err(CoreError::CheckFailed(format!(
+                    "deparser writes bytes {start}..{end}, which overlap the VLAN tag \
+                     (bytes {}..{}): a module must not change its module ID",
+                    VLAN_TAG_BYTES.start, VLAN_TAG_BYTES.end
+                )));
+            }
+        }
+        let usage = config.usage();
+        for (resource, per_stage, total) in [
+            (
+                "match entries",
+                &usage.match_entries_per_stage,
+                self.params.cam_depth,
+            ),
+            (
+                "stateful memory",
+                &usage.stateful_words_per_stage,
+                self.params.stateful_words,
+            ),
+        ] {
+            let Some(allocated) = self.policy.share(total) else {
+                continue;
+            };
+            for (stage, &used) in per_stage.iter().enumerate() {
+                if used > allocated {
+                    return Err(CoreError::AllocationExceeded {
+                        resource: format!("{resource}, stage {stage}"),
+                        used,
+                        allocated,
+                    });
+                }
+            }
+        }
         Ok(())
     }
 
@@ -955,8 +1005,9 @@ impl MenshenPipeline {
     /// Updates an already-loaded module with a new configuration. The module's
     /// packets are dropped while the update streams in (the Figure 10
     /// experiment); other modules keep forwarding throughout. A
-    /// configuration that fails [`check_module_config`](Self::check_module_config)
-    /// is refused before the running program is touched.
+    /// configuration that fails [`check_module_config`](Self::check_module_config),
+    /// or that would not fit in some stage even with the module's own ranges
+    /// released, is refused before the running program is touched.
     pub fn update_module(&mut self, config: &ModuleConfig) -> Result<LoadReport> {
         let module_id = config.module_id;
         if !self.modules.contains_key(&module_id.value()) {
@@ -965,6 +1016,15 @@ impl MenshenPipeline {
             });
         }
         self.check_module_config(config)?;
+        // The new program must fit where the old one stands: once the
+        // module's own ranges are free, each stage still has a gap for it.
+        for (stage, stage_cfg) in self.stages.iter().zip(&config.stages) {
+            let entries = stage_cfg.rules.len() + stage_cfg.table_actions.len();
+            stage.cam_alloc.check_reallocate(module_id, entries)?;
+            stage
+                .stateful_alloc
+                .check_reallocate(module_id, stage_cfg.stateful_words)?;
+        }
         // The prototype reconfigures by rewriting the module's entries; the
         // simplest faithful model is unload + load preserving the counters.
         let counters = self.modules[&module_id.value()].counters;
@@ -1936,6 +1996,41 @@ mod tests {
         let counters = pipeline.module_counters(ModuleId::new(7)).unwrap();
         assert_eq!(counters.packets_in, 1);
         assert_eq!(counters.packets_out, 1);
+    }
+
+    #[test]
+    fn load_send_and_read_stats() {
+        let mut pipeline = MenshenPipeline::new(TABLE5);
+        pipeline
+            .load_module(&simple_module(4, 0x0a00_0002, 8080))
+            .unwrap();
+        let verdict = pipeline.process(packet_for(4, 2));
+        assert!(verdict.is_forwarded());
+        assert_eq!(verdict.packet().unwrap().udp_dst_port(), Some(8080));
+        assert_eq!(pipeline.loaded_modules(), vec![ModuleId::new(4)]);
+        let counters = pipeline.module_counters(ModuleId::new(4)).unwrap();
+        assert_eq!((counters.packets_in, counters.packets_out), (1, 1));
+        assert!(pipeline.filter().reconfig_counter() > 0);
+        assert!(pipeline.system().stats().link_packets > 0);
+        assert!(pipeline.module_counters(ModuleId::new(9)).is_none());
+    }
+
+    #[test]
+    fn update_and_remove_round_trip() {
+        let mut pipeline = MenshenPipeline::new(TABLE5);
+        let module = ModuleId::new(4);
+        pipeline
+            .load_module(&simple_module(4, 0x0a00_0002, 8080))
+            .unwrap();
+        pipeline
+            .update_module(&simple_module(4, 0x0a00_0002, 1234))
+            .unwrap();
+        let verdict = pipeline.process(packet_for(4, 2));
+        assert_eq!(verdict.packet().unwrap().udp_dst_port(), Some(1234));
+        pipeline.unload_module(module).unwrap();
+        assert!(pipeline.loaded_modules().is_empty());
+        assert!(pipeline.unload_module(module).is_err());
+        assert!(pipeline.read_stateful(module, 0, 0).is_none());
     }
 
     #[test]

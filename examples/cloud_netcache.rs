@@ -9,12 +9,12 @@ use menshen_packet::Ipv4Address;
 use menshen_programs::{netcache::NetCache, netchain::NetChain, qos::Qos};
 
 fn main() {
-    let mut control = ControlPlane::new(TABLE5, SharingPolicy::FirstComeFirstServed);
+    let mut pipeline = MenshenPipeline::new(TABLE5);
 
     // Infrastructure state owned by the operator: routes and per-tenant
     // virtual IPs, installed in the system-level module.
     {
-        let system = control.pipeline_mut().system_mut();
+        let system = pipeline.system_mut();
         system.set_default_port(48);
         system.add_route(Ipv4Address::new(172, 16, 0, 10), 10);
         system.add_route(Ipv4Address::new(172, 16, 0, 20), 20);
@@ -32,14 +32,15 @@ fn main() {
         );
     }
 
-    // Tenant modules, admitted through the control plane's resource checker.
+    // Tenant modules, each admitted by the pipeline's static checks (§3.4)
+    // under the default first-come-first-served sharing policy.
     let netcache = NetCache::new();
     let netchain = NetChain::new();
     let qos = Qos;
     let tenants: Vec<(u16, &dyn EvaluatedProgram)> =
         vec![(21, &netcache), (22, &netchain), (23, &qos)];
     for (module_id, program) in &tenants {
-        let report = control
+        let report = pipeline
             .load_module(&program.build(*module_id).expect("tenant compiles"))
             .expect("admission control accepts the tenant");
         println!(
@@ -55,7 +56,7 @@ fn main() {
     for (module_id, program) in &tenants {
         let mut forwarded = 0;
         for packet in program.packets(*module_id, 30, 7) {
-            let verdict = control.send(packet.clone());
+            let verdict = pipeline.process(packet.clone());
             all_ok &= program.check_output(&packet, &verdict);
             if verdict.is_forwarded() {
                 forwarded += 1;
@@ -77,7 +78,7 @@ fn main() {
             4321,
             &[0u8; 8],
         );
-        if let Verdict::Forwarded { ports, .. } = control.send(packet) {
+        if let Verdict::Forwarded { ports, .. } = pipeline.process(packet) {
             println!(
                 "module {module_id} packet to virtual 192.168.100.1 leaves via port {:?}",
                 ports
@@ -85,13 +86,12 @@ fn main() {
         }
     }
 
-    let stats = control.device_stats();
     println!();
     println!(
         "device statistics: {} modules loaded, {} link packets, {} reconfiguration packets",
-        stats.modules.len(),
-        stats.link_packets,
-        stats.reconfig_packets
+        pipeline.loaded_modules().len(),
+        pipeline.system().stats().link_packets,
+        pipeline.filter().reconfig_counter()
     );
     println!(
         "oracle verdict across all tenants: {}",
@@ -101,4 +101,7 @@ fn main() {
             "VIOLATION DETECTED"
         }
     );
+    if !all_ok {
+        std::process::exit(1);
+    }
 }

@@ -9,7 +9,7 @@
 //! * [`rmt`] — the baseline RMT pipeline simulator.
 //! * [`core`] — Menshen's isolation layer (overlays, space partitioning,
 //!   packet filter, daisy-chain reconfiguration, system-level module,
-//!   control plane).
+//!   admission control).
 //! * [`compiler`] — the module DSL front end and Menshen backend.
 //! * [`programs`] — the evaluated modules of Table 3.
 //! * [`runtime`] — the sharded multi-core runtime: RSS flow steering,

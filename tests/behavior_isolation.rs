@@ -2,10 +2,15 @@
 //! on one pipeline and every module behaves exactly as it would alone.
 
 use menshen::prelude::*;
+use menshen_bench::workloads::flow_rule_tenant;
+use menshen_core::CoreError;
 use menshen_programs::{
     calc::Calc, firewall::Firewall, load_balancing::LoadBalancing, netcache::NetCache,
     netchain::NetChain, source_routing::SourceRouting,
 };
+use menshen_rmt::config::ParseAction;
+use menshen_rmt::phv::ContainerRef as C;
+use menshen_runtime::RuntimeError;
 
 /// Loads the given programs, interleaves their workloads and checks every
 /// verdict against the owning program's oracle.
@@ -127,4 +132,85 @@ fn all_eight_programs_coexist() {
         .map(|(index, program)| ((index + 1) as u16, program))
         .collect();
     run_isolation_check_on(TABLE5.with_table_depth(64), tenants, 25);
+}
+
+/// §3.4: a module must not rewrite its VLAN ID, or its traffic leaves
+/// attributed to another module. The compiler refuses such source; the
+/// pipeline refuses the binary, whichever path hands it over.
+#[test]
+fn a_deparser_writing_the_vlan_tag_is_refused_on_every_load_path() {
+    let calc = Calc;
+    let honest = calc.build(1).unwrap();
+    let mut forged = honest.clone();
+    assert_eq!(forged.deparser.actions.len(), 1);
+    assert_eq!(forged.deparser.actions[0].offset, 56);
+    forged.deparser.actions[0].offset = 14;
+
+    // The lone pipeline, on load and on update.
+    let mut pipeline = MenshenPipeline::new(TABLE5);
+    let refusal = pipeline.load_module(&forged).unwrap_err();
+    assert!(
+        matches!(&refusal, CoreError::CheckFailed(detail) if detail.contains("VLAN")),
+        "{refusal}"
+    );
+    assert!(pipeline.loaded_modules().is_empty());
+    pipeline.load_module(&honest).unwrap();
+    assert_eq!(pipeline.update_module(&forged), Err(refusal.clone()));
+    for packet in calc.packets(1, 10, 5) {
+        let verdict = pipeline.process(packet.clone());
+        assert!(calc.check_output(&packet, &verdict));
+    }
+
+    // Any byte of the TPID or TCI counts, for every container width.
+    let mut probe = honest.clone();
+    for (offset, container, refused) in [
+        (10, C::h2(0), false),
+        (11, C::h2(0), true),
+        (12, C::h2(0), true),
+        (15, C::h2(0), true),
+        (16, C::h2(0), false),
+        (8, C::h4(0), false),
+        (9, C::h4(0), true),
+        (6, C::h6(0), false),
+        (7, C::h6(0), true),
+    ] {
+        probe.deparser.actions[0] = ParseAction::new(offset, container).unwrap();
+        assert_eq!(
+            pipeline.check_module_config(&probe).is_err(),
+            refused,
+            "{container} at byte {offset}"
+        );
+    }
+
+    // The sharded runtime, on both backends: refused before any epoch.
+    for options in [
+        RuntimeOptions::deterministic(2),
+        RuntimeOptions::threaded(2),
+    ] {
+        let mut runtime = ShardedRuntime::new(TABLE5, options);
+        let epoch = runtime.current_epoch();
+        assert_eq!(
+            runtime.load_module(&forged),
+            Err(RuntimeError::Rejected(refusal.clone()))
+        );
+        assert_eq!(runtime.current_epoch(), epoch, "no epoch was published");
+        assert!(runtime.standby_replica().loaded_modules().is_empty());
+        runtime.shutdown();
+    }
+
+    // Every Table 3 program and the benchmark's port-rewrite tenant write
+    // only fields the DSL lets them write, and still load.
+    for (index, program) in all_programs().iter().enumerate() {
+        let config = program.build(index as u16 + 1).unwrap();
+        let mut pipeline = MenshenPipeline::new(TABLE5);
+        assert_eq!(
+            pipeline.check_module_config(&config),
+            Ok(()),
+            "{}",
+            program.name()
+        );
+        pipeline.load_module(&config).unwrap();
+    }
+    let mut pipeline = MenshenPipeline::new(TABLE5);
+    pipeline.load_module(&flow_rule_tenant(1, 16)).unwrap();
 }

@@ -1,4 +1,4 @@
-//! End-to-end integration: DSL source → compiler → control plane → pipeline →
+//! End-to-end integration: DSL source → compiler → admission → pipeline →
 //! packets, for every evaluated program, plus equivalence between the
 //! baseline RMT pipeline and a single-module Menshen pipeline.
 
@@ -21,8 +21,8 @@ fn every_figure8_program_compiles_loads_and_forwards() {
             &CompileOptions::new(module_id).with_initial_entries(4),
         )
         .unwrap_or_else(|e| panic!("{name} failed to compile: {e}"));
-        let mut control = ControlPlane::new(TABLE5, SharingPolicy::FirstComeFirstServed);
-        control
+        let mut pipeline = MenshenPipeline::new(TABLE5);
+        pipeline
             .load_module(&compiled.config)
             .unwrap_or_else(|e| panic!("{name} failed to load: {e}"));
         // Generic traffic flows through (forwarded or dropped, never an error).
@@ -33,11 +33,8 @@ fn every_figure8_program_compiles_loads_and_forwards() {
             2222,
             &[0u8; 32],
         );
-        let _ = control.send(packet);
-        assert_eq!(
-            control.pipeline().loaded_modules(),
-            vec![ModuleId::new(module_id)]
-        );
+        let _ = pipeline.process(packet);
+        assert_eq!(pipeline.loaded_modules(), vec![ModuleId::new(module_id)]);
     }
 }
 

@@ -4,6 +4,7 @@
 use menshen::prelude::*;
 use menshen_bench::workloads::{flow_dst_ip, flow_rule_tenant_with_port};
 use menshen_core::reconfig::{ReconfigCommand, ResourceKind, WritePayload};
+use menshen_core::CoreError;
 use menshen_core::SegmentEntry;
 use menshen_programs::{calc::Calc, firewall::Firewall, qos::Qos};
 use menshen_rmt::action::AluInstruction;
@@ -233,4 +234,130 @@ fn rejected_update_leaves_the_running_module_intact() {
     }
     let verdicts = runtime.process_batch(running_traffic(4)).unwrap();
     assert!(forwards_to_1001(&verdicts));
+}
+
+/// Module 1 (10 rules, 3000 stateful words) beside module 2 (6 rules, 1000
+/// words): together they fill stage 0's 16-entry CAM and leave 96 of its
+/// 4096 stateful words free.
+fn crowded_stage() -> [ModuleConfig; 2] {
+    let mut grower = flow_rule_tenant_with_port(1, 10, 1001);
+    grower.stages[0].stateful_words = 3000;
+    let mut neighbour = flow_rule_tenant_with_port(2, 6, 2002);
+    neighbour.stages[0].stateful_words = 1000;
+    [grower, neighbour]
+}
+
+/// Updates of module 1 that pass every static check but cannot fit where it
+/// stands: one rule more than the 10 entries its range plus the free CAM
+/// hold, and 100 stateful words more than the largest gap with its own
+/// range released (3000).
+fn updates_refused_for_capacity() -> Vec<ModuleConfig> {
+    let [grower, _] = crowded_stage();
+    let mut more_rules = flow_rule_tenant_with_port(1, 11, 1001);
+    more_rules.stages[0].stateful_words = 3000;
+    let mut more_words = grower;
+    more_words.stages[0].stateful_words = 3100;
+    vec![more_rules, more_words]
+}
+
+fn crowded_traffic() -> Vec<Packet> {
+    (0..20u16)
+        .map(|i| {
+            let module = 1 + i % 2;
+            let flows = if module == 1 { 10 } else { 6 };
+            let ip = flow_dst_ip(module, usize::from(i) % flows) as u32;
+            PacketBuilder::udp_data(
+                module,
+                [10, 0, 0, 1],
+                ip.to_be_bytes(),
+                3000 + i,
+                80,
+                &[0u8; 8],
+            )
+        })
+        .collect()
+}
+
+fn rewritten_ports(verdicts: &[Verdict]) -> Vec<Option<u16>> {
+    verdicts
+        .iter()
+        .map(|v| v.packet().and_then(|p| p.udp_dst_port()))
+        .collect()
+}
+
+/// An update refused because the new program does not fit must be refused
+/// before the running one is unloaded: module 1 stays loaded with the same
+/// verdicts, counters and stateful words — on a lone pipeline, and on every
+/// replica (and the standby) of a deterministic sharded runtime.
+#[test]
+fn rejected_update_for_capacity_keeps_the_running_module() {
+    let module = ModuleId::new(1);
+    let mut pipeline = MenshenPipeline::new(TABLE5);
+    for config in crowded_stage() {
+        pipeline.load_module(&config).unwrap();
+    }
+    let ports = rewritten_ports(&pipeline.process_batch(crowded_traffic()));
+    assert!(ports.iter().all(|p| *p == Some(1001) || *p == Some(2002)));
+    let counters = pipeline.module_counters(module);
+    let word = pipeline.read_stateful(module, 0, 0);
+    assert_eq!(word, Some(10));
+    for (index, refused) in updates_refused_for_capacity().iter().enumerate() {
+        assert!(
+            matches!(
+                pipeline.update_module(refused),
+                Err(CoreError::InsufficientResource { .. })
+            ),
+            "update {index}"
+        );
+        assert_eq!(
+            pipeline.loaded_modules(),
+            vec![module, ModuleId::new(2)],
+            "update {index}"
+        );
+        assert_eq!(pipeline.module_counters(module), counters, "update {index}");
+        assert_eq!(pipeline.read_stateful(module, 0, 0), word, "update {index}");
+    }
+    assert_eq!(
+        rewritten_ports(&pipeline.process_batch(crowded_traffic())),
+        ports
+    );
+
+    let mut runtime = ShardedRuntime::new(TABLE5, RuntimeOptions::deterministic(2));
+    for config in crowded_stage() {
+        runtime.load_module(&config).unwrap();
+    }
+    let verdicts = runtime.process_batch(crowded_traffic()).unwrap();
+    assert_eq!(rewritten_ports(&verdicts), ports);
+    let counters = runtime.aggregated_counters().unwrap();
+    let word = runtime.read_stateful_aggregate(module, 0, 0);
+    for (index, refused) in updates_refused_for_capacity().iter().enumerate() {
+        assert!(
+            matches!(
+                runtime.update_module(refused),
+                Err(RuntimeError::Control { .. })
+            ),
+            "update {index}"
+        );
+        for shard in 0..runtime.shard_count() {
+            let replica = runtime.shard_pipeline(shard).unwrap();
+            assert_eq!(
+                replica.loaded_modules(),
+                vec![module, ModuleId::new(2)],
+                "update {index}, shard {shard}"
+            );
+        }
+        assert_eq!(
+            runtime.standby_replica().loaded_modules(),
+            vec![module, ModuleId::new(2)],
+            "update {index}"
+        );
+        assert_eq!(runtime.aggregated_counters().unwrap(), counters);
+        assert_eq!(
+            runtime.read_stateful_aggregate(module, 0, 0),
+            word,
+            "update {index}"
+        );
+    }
+    let verdicts = runtime.process_batch(crowded_traffic()).unwrap();
+    assert_eq!(rewritten_ports(&verdicts), ports);
 }

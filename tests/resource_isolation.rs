@@ -2,11 +2,11 @@
 //! 2, §5.2 "how many modules can be packed?").
 
 use menshen::prelude::*;
-use menshen_compiler::FieldRef;
 use menshen_core::CoreError;
 use menshen_programs::netcache::NetCache;
 use menshen_rmt::action::VliwAction;
 use menshen_rmt::match_table::LookupKey;
+use menshen_runtime::RuntimeError;
 
 /// A module with `rules` match entries in stage 0 and `stateful` words.
 fn synthetic_module(module_id: u16, rules: usize, stateful: usize) -> ModuleConfig {
@@ -56,11 +56,54 @@ fn packing_matches_section_5_2() {
 
 #[test]
 fn admission_control_enforces_the_sharing_policy() {
-    let mut control = ControlPlane::new(TABLE5, SharingPolicy::EqualShare { max_modules: 8 });
+    let mut pipeline = MenshenPipeline::new(TABLE5);
+    pipeline.set_sharing_policy(SharingPolicy::EqualShare { max_modules: 8 });
     // Each module may use 16/8 = 2 entries per stage under equal sharing.
-    assert!(control.load_module(&synthetic_module(1, 2, 0)).is_ok());
-    let err = control.load_module(&synthetic_module(2, 3, 0)).unwrap_err();
+    assert!(pipeline.load_module(&synthetic_module(1, 2, 0)).is_ok());
+    let err = pipeline
+        .load_module(&synthetic_module(2, 3, 0))
+        .unwrap_err();
     assert!(matches!(err, CoreError::AllocationExceeded { .. }));
+}
+
+/// The policy is a property of the pipeline handed to the runtime, so every
+/// shard replica admits under it: `EqualShare { max_modules: 4 }` grants 4
+/// CAM entries per stage on `TABLE5`, on either backend.
+#[test]
+fn the_sharing_policy_holds_on_every_runtime_load_path() {
+    let policy = SharingPolicy::EqualShare { max_modules: 4 };
+    let mut template = MenshenPipeline::new(TABLE5);
+    template.set_sharing_policy(policy);
+    for options in [
+        RuntimeOptions::deterministic(2),
+        RuntimeOptions::threaded(2),
+    ] {
+        let mut runtime = ShardedRuntime::from_pipeline(&template, options);
+        assert_eq!(runtime.standby_replica().sharing_policy(), policy);
+        let epoch = runtime.current_epoch();
+        assert!(matches!(
+            runtime.load_module(&synthetic_module(1, 5, 0)),
+            Err(RuntimeError::Rejected(CoreError::AllocationExceeded {
+                used: 5,
+                allocated: 4,
+                ..
+            }))
+        ));
+        assert_eq!(runtime.current_epoch(), epoch, "no epoch was published");
+        assert!(matches!(
+            runtime.update_module(&synthetic_module(1, 5, 0)),
+            Err(RuntimeError::Rejected(CoreError::AllocationExceeded { .. }))
+        ));
+        assert_eq!(runtime.current_epoch(), epoch, "no epoch was published");
+        runtime.load_module(&synthetic_module(2, 4, 0)).unwrap();
+        assert!(runtime.current_epoch() > epoch);
+        assert_eq!(runtime.standby_replica().sharing_policy(), policy);
+        assert_eq!(
+            runtime.standby_replica().loaded_modules(),
+            vec![ModuleId::new(2)]
+        );
+        runtime.shutdown();
+    }
 }
 
 #[test]
@@ -90,25 +133,30 @@ fn stateful_memory_cannot_be_reached_across_modules() {
 
 #[test]
 fn over_quota_runtime_insertions_are_refused() {
-    let mut control = ControlPlane::new(TABLE5, SharingPolicy::FirstComeFirstServed);
+    let mut pipeline = MenshenPipeline::new(TABLE5);
     // Fill the whole stage-0 CAM with one module…
-    control.load_module(&synthetic_module(1, 16, 0)).unwrap();
+    pipeline.load_module(&synthetic_module(1, 16, 0)).unwrap();
     // …then a second module cannot even load with a single entry…
     assert!(matches!(
-        control.load_module(&synthetic_module(2, 1, 0)),
+        pipeline.load_module(&synthetic_module(2, 1, 0)),
         Err(CoreError::InsufficientResource { .. })
     ));
-    // …and runtime insertion for module 1 itself fails cleanly when full.
-    let compiled = menshen_compiler::compile_source(
-        menshen_programs::qos::SOURCE,
-        &menshen_compiler::CompileOptions::new(1),
-    )
-    .unwrap();
-    let dst_port = FieldRef::new("udp", "dst_port");
-    let rule = compiled
-        .rule("classify", &[(&dst_port, 1234)], "low_priority")
-        .unwrap();
-    assert!(control.insert_entry(ModuleId::new(1), 0, &rule).is_err());
+    // …and module 1 itself cannot grow to a 17th rule: the update is refused
+    // before the running program is unloaded, so it keeps forwarding.
+    assert!(matches!(
+        pipeline.update_module(&synthetic_module(1, 17, 0)),
+        Err(CoreError::InsufficientResource {
+            requested: 17,
+            available: 16,
+            ..
+        })
+    ));
+    assert_eq!(pipeline.loaded_modules(), vec![ModuleId::new(1)]);
+    let packet = PacketBuilder::udp_data(1, [10, 0, 0, 1], [10, 0, 0, 2], 1, 2, &[0u8; 4]);
+    assert!(matches!(
+        pipeline.process(packet),
+        Verdict::Forwarded { module_id: 1, .. }
+    ));
 }
 
 #[test]

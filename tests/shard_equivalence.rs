@@ -998,11 +998,6 @@ module m {{
         Err(CoreError::Rmt(overflow.clone()))
     );
     assert!(lone.loaded_modules().is_empty());
-    let mut control = ControlPlane::new(TABLE5, SharingPolicy::FirstComeFirstServed);
-    assert_eq!(
-        control.load_module(&too_wide),
-        Err(CoreError::Rmt(overflow.clone()))
-    );
     let epoch = sharded.current_epoch();
     assert_eq!(
         sharded.load_module(&too_wide),
