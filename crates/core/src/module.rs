@@ -8,7 +8,6 @@ use crate::digest::DigestSpec;
 use menshen_rmt::action::{AluOp, VliwAction};
 use menshen_rmt::config::{KeyExtractEntry, KeyMask, ParserEntry};
 use menshen_rmt::match_table::{LookupKey, MatchKind};
-use menshen_rmt::params::PARSE_ACTIONS_PER_ENTRY;
 
 /// A module identifier: the 12-bit VLAN ID carried by the module's packets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -51,30 +50,6 @@ pub struct ResourceAllocation {
     pub match_entries_per_stage: Vec<usize>,
     /// Words of stateful memory the module may occupy in each stage.
     pub stateful_words_per_stage: Vec<usize>,
-    /// Maximum number of PHV containers the module's parser may fill.
-    pub phv_containers: usize,
-}
-
-impl ResourceAllocation {
-    /// A uniform allocation: the same number of match entries and stateful
-    /// words in each of `stages` stages.
-    pub fn uniform(stages: usize, match_entries: usize, stateful_words: usize) -> Self {
-        ResourceAllocation {
-            match_entries_per_stage: vec![match_entries; stages],
-            stateful_words_per_stage: vec![stateful_words; stages],
-            phv_containers: PARSE_ACTIONS_PER_ENTRY,
-        }
-    }
-
-    /// Total number of match entries across all stages.
-    pub fn total_match_entries(&self) -> usize {
-        self.match_entries_per_stage.iter().sum()
-    }
-
-    /// Total stateful words across all stages.
-    pub fn total_stateful_words(&self) -> usize {
-        self.stateful_words_per_stage.iter().sum()
-    }
 }
 
 /// One match-action rule of a compiled module: a masked key and the VLIW
@@ -202,11 +177,6 @@ impl ModuleConfig {
             .sum()
     }
 
-    /// Total stateful words requested across all stages.
-    pub fn total_stateful_words(&self) -> usize {
-        self.stages.iter().map(|s| s.stateful_words).sum()
-    }
-
     /// The resource usage of this configuration, for admission control.
     pub fn usage(&self) -> ResourceAllocation {
         ResourceAllocation {
@@ -219,7 +189,6 @@ impl ModuleConfig {
                 .map(|s| s.rules.len() + s.table_actions.len())
                 .collect(),
             stateful_words_per_stage: self.stages.iter().map(|s| s.stateful_words).collect(),
-            phv_containers: self.parser.actions.len(),
         }
     }
 
@@ -315,6 +284,7 @@ pub enum StateMergeability {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use menshen_rmt::params::PARSE_ACTIONS_PER_ENTRY;
 
     #[test]
     fn module_id_truncates_to_12_bits() {
@@ -324,22 +294,13 @@ mod tests {
     }
 
     #[test]
-    fn allocation_totals() {
-        let alloc = ResourceAllocation::uniform(5, 4, 128);
-        assert_eq!(alloc.total_match_entries(), 20);
-        assert_eq!(alloc.total_stateful_words(), 640);
-        assert_eq!(alloc.match_entries_per_stage.len(), 5);
-    }
-
-    #[test]
     fn empty_config_reports_zero_usage() {
         let config = ModuleConfig::empty(ModuleId::new(3), "calc", 5);
         assert_eq!(config.total_rules(), 0);
-        assert_eq!(config.total_stateful_words(), 0);
         assert!(config.stages.iter().all(|s| s.is_empty()));
         let usage = config.usage();
-        assert_eq!(usage.total_match_entries(), 0);
-        assert_eq!(usage.phv_containers, 0);
+        assert!(usage.match_entries_per_stage.iter().all(|&n| n == 0));
+        assert!(usage.stateful_words_per_stage.iter().all(|&n| n == 0));
     }
 
     #[test]

@@ -67,6 +67,7 @@ use menshen_rmt::parser;
 use menshen_rmt::phv::{ContainerRef, Phv};
 use menshen_rmt::stage::{StageConfig, StageHardware};
 use menshen_rmt::ternary::{RangeRule, RangeTable};
+use menshen_rmt::RmtError;
 use std::collections::HashMap;
 
 /// DPDK-style default burst size for [`MenshenPipeline::process_batch_into`].
@@ -74,6 +75,9 @@ use std::collections::HashMap;
 /// Callers may pass bursts of any length; this constant is the batch size the
 /// testbed and benchmarks use when they chop a packet stream into bursts.
 pub const BURST_SIZE: usize = 32;
+
+/// A flat-table rule whose kind the module's stage has no table for.
+const NO_SUCH_TABLE: &str = "flat-table rule for a module slot without a table of its kind";
 
 /// Bytes 12–15 of a tagged frame: the VLAN TPID and TCI. The VID in the TCI
 /// is the packet's module ID, so no module's deparser may write any of them.
@@ -472,11 +476,6 @@ impl MenshenPipeline {
         }
     }
 
-    /// Creates a pipeline with the prototype parameters of Table 5.
-    pub fn with_default_params() -> Self {
-        Self::new(PipelineParams::default())
-    }
-
     /// The pipeline's parameters.
     pub fn params(&self) -> &PipelineParams {
         &self.params
@@ -518,15 +517,6 @@ impl MenshenPipeline {
     /// Number of free module slots.
     pub fn free_slots(&self) -> usize {
         self.slots.iter().filter(|s| s.is_none()).count()
-    }
-
-    /// The contiguous CAM range partitioned to `module` in `stage` at load
-    /// time, if the module is loaded.
-    pub fn module_cam_range(&self, module: ModuleId, stage: usize) -> Option<Allocation> {
-        self.modules
-            .get(&module.value())
-            .and_then(|m| m.cam_ranges.get(stage))
-            .copied()
     }
 
     /// Reads one word of a module's stateful memory in `stage`, through the
@@ -868,12 +858,15 @@ impl MenshenPipeline {
     /// before any resource is allocated or, on an update, before the running
     /// program is removed. Every load path runs it — this pipeline's
     /// [`load_module`](Self::load_module) and
-    /// [`update_module`](Self::update_module), and through them every shard
-    /// replica of the sharded runtime, which also runs it before publishing
-    /// an epoch. A configuration is admitted only if
+    /// [`update_module`](Self::update_module), and through them the sharded
+    /// runtime's configuration replica, which applies every op before the
+    /// runtime publishes it. A configuration is admitted only if
     ///
     /// * it spans at most the pipeline's stages;
-    /// * each stage's rule lists fit its match kind;
+    /// * each stage's rule lists fit its match kind, and each flat-table
+    ///   rule is one the table accepts (action index in range, LPM prefix
+    ///   length at most 32, range bounds in order), so a load never fails
+    ///   once it has taken a slot;
     /// * the parser and deparser entries each fit one table row
     ///   ([`ParserEntry::validate`](menshen_rmt::ParserEntry::validate)),
     ///   which is also what makes every loaded parser digestible;
@@ -982,6 +975,12 @@ impl MenshenPipeline {
             ));
         }
         for rule in &stage_cfg.lpm_rules {
+            if rule.prefix_len > 32 {
+                return fail(format!(
+                    "LPM rule prefix length {} exceeds 32",
+                    rule.prefix_len
+                ));
+            }
             if usize::from(rule.action) >= stage_cfg.table_actions.len() {
                 return fail(format!(
                     "LPM rule references action {} of {}",
@@ -991,6 +990,12 @@ impl MenshenPipeline {
             }
         }
         for rule in &stage_cfg.range_rules {
+            if rule.lo > rule.hi {
+                return fail(format!(
+                    "range rule bounds {}..={} are reversed",
+                    rule.lo, rule.hi
+                ));
+            }
             if usize::from(rule.action) >= stage_cfg.table_actions.len() {
                 return fail(format!(
                     "range rule references action {} of {}",
@@ -1250,9 +1255,11 @@ impl MenshenPipeline {
     /// Each rule models one daisy-chain write (counted in the filter's
     /// reconfiguration statistics) but skips packet materialisation; the
     /// module is *not* marked as being reconfigured, so its traffic keeps
-    /// flowing while rules stream in. Returns the number of rules installed;
-    /// on error, rules before the failing one remain installed (exactly as
-    /// if the daisy chain had carried them one packet at a time).
+    /// flowing while rules stream in. Returns the number of rules installed.
+    ///
+    /// All or nothing: the whole batch is checked first (each rule's table
+    /// kind, action index, prefix length or bounds, and room for the keys it
+    /// adds), so a refused batch installs no rule at all.
     pub fn install_rules(
         &mut self,
         module: ModuleId,
@@ -1262,16 +1269,97 @@ impl MenshenPipeline {
         let slot = self.module_slot(module).ok_or(CoreError::UnknownModule {
             module_id: module.value(),
         })?;
-        let mut installed = 0;
+        let base = self.check_rules(module, stage, slot, rules)?;
+        let stage = &mut self.stages[stage];
         for rule in rules {
-            match rule {
-                TableRule::Lpm(rule) => self.install_lpm_rule(stage, slot, rule)?,
-                TableRule::Range(rule) => self.install_range_rule(stage, slot, rule)?,
-            }
+            // `check_rules` vetted the batch, so the insert rebases the
+            // module-local action index onto `base` directly instead of
+            // looking the range up again per rule as `install_lpm_rule` does.
+            let inserted = match (rule, &mut stage.lpm[slot], &mut stage.range[slot]) {
+                (TableRule::Lpm(r), Some(table), _) => {
+                    table.insert(r.prefix, r.prefix_len, base + u32::from(r.action))
+                }
+                (TableRule::Range(r), _, Some(table)) => table.insert(RangeRule {
+                    lo: r.lo,
+                    hi: r.hi,
+                    priority: r.priority,
+                    action: base + u32::from(r.action),
+                }),
+                _ => return Err(CoreError::BadReconfigPacket(NO_SUCH_TABLE)),
+            };
+            inserted.map_err(CoreError::Rmt)?;
             self.filter.count_reconfig_packet();
-            installed += 1;
         }
-        Ok(installed)
+        Ok(rules.len())
+    }
+
+    /// Everything [`install_rules`](Self::install_rules) could refuse
+    /// part-way, decided for the whole batch before any rule is written.
+    /// Returns the first index of the module's action range in the stage.
+    fn check_rules(
+        &self,
+        module: ModuleId,
+        stage_idx: usize,
+        slot: usize,
+        rules: &[TableRule],
+    ) -> Result<u32> {
+        let stage =
+            self.stages
+                .get(stage_idx)
+                .ok_or(CoreError::Rmt(RmtError::TableIndexOutOfRange {
+                    table: "pipeline stages",
+                    index: stage_idx,
+                    depth: self.stages.len(),
+                }))?;
+        let actions = stage.cam_alloc.allocation(module);
+        let (lpm, range) = (stage.lpm[slot].as_ref(), stage.range[slot].as_ref());
+        for rule in rules {
+            let (present, overflow, action) = match rule {
+                TableRule::Lpm(r) => {
+                    let long = r.prefix_len > 32;
+                    (lpm.is_some(), long.then_some("LPM prefix length"), r.action)
+                }
+                TableRule::Range(r) => {
+                    let reversed = r.lo > r.hi;
+                    let field = "range rule bounds (lo > hi)";
+                    (range.is_some(), reversed.then_some(field), r.action)
+                }
+            };
+            if !present {
+                return Err(CoreError::BadReconfigPacket(NO_SUCH_TABLE));
+            }
+            if let Some(field) = overflow {
+                return Err(CoreError::Rmt(RmtError::FieldOverflow { field }));
+            }
+            if actions.is_none_or(|a| usize::from(action) >= a.len) {
+                return Err(CoreError::BadReconfigPacket(
+                    "flat-table rule action index outside the module's partitioned range",
+                ));
+            }
+        }
+        // Room: every range rule takes an entry; an LPM rule takes one only
+        // for a prefix neither installed nor earlier in the batch. Counting
+        // every LPM rule as new settles the common case without hashing.
+        let full = |table| Err(CoreError::Rmt(RmtError::TableFull { table }));
+        let ranges = rules.iter().filter(|r| matches!(r, TableRule::Range(_)));
+        if range.is_some_and(|t| t.len() + ranges.count() > t.capacity()) {
+            return full("range table");
+        }
+        if let Some(table) = lpm.filter(|t| t.len() + rules.len() > t.capacity()) {
+            let added: std::collections::HashSet<(u32, u8)> = rules
+                .iter()
+                .filter_map(|rule| match rule {
+                    TableRule::Lpm(r) if !table.contains(r.prefix, r.prefix_len) => {
+                        Some((LpmTable::canonical(r.prefix, r.prefix_len), r.prefix_len))
+                    }
+                    _ => None,
+                })
+                .collect();
+            if table.len() + added.len() > table.capacity() {
+                return full("LPM table");
+            }
+        }
+        Ok(actions.map_or(0, |a| a.start as u32))
     }
 
     /// Read access to a loaded module's LPM table in `stage`, if it has one.

@@ -262,11 +262,6 @@ impl Service {
         self.received
     }
 
-    /// True once the backend is a finite source that has emitted everything.
-    pub fn source_exhausted(&self) -> bool {
-        self.backend.exhausted()
-    }
-
     /// True once a control peer has requested `DRAIN`.
     pub fn drain_requested(&self) -> bool {
         self.drain_requested

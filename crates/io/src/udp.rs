@@ -104,11 +104,6 @@ impl UdpSocketIo {
     pub fn local_addrs(&self) -> Vec<SocketAddr> {
         self.state.queues.iter().map(|q| q.local).collect()
     }
-
-    /// Number of rx queues.
-    pub fn queue_count(&self) -> usize {
-        self.state.queues.len()
-    }
 }
 
 impl PacketIo for UdpSocketIo {

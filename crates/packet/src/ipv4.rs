@@ -156,11 +156,6 @@ impl<T: AsRef<[u8]>> Ipv4Header<T> {
         IpProtocol::from(self.buffer.as_ref()[9])
     }
 
-    /// Header checksum field.
-    pub fn header_checksum(&self) -> u16 {
-        u16::from_be_bytes([self.buffer.as_ref()[10], self.buffer.as_ref()[11]])
-    }
-
     /// Source address.
     pub fn src_addr(&self) -> Ipv4Address {
         Ipv4Address::from_bytes(&self.buffer.as_ref()[12..16]).expect("checked length")

@@ -148,6 +148,25 @@ impl LpmTable {
         child
     }
 
+    /// `prefix` with the bits below `prefix_len` cleared: the one key every
+    /// spelling of the same prefix installs under. `prefix_len` must be at
+    /// most 32.
+    pub fn canonical(prefix: u32, prefix_len: u8) -> u32 {
+        if prefix_len == 0 {
+            0
+        } else {
+            prefix & (u32::MAX << (32 - u32::from(prefix_len)))
+        }
+    }
+
+    /// True if `prefix/prefix_len` is installed, so re-inserting it replaces
+    /// its action instead of taking a new entry. `prefix_len` must be at
+    /// most 32.
+    pub fn contains(&self, prefix: u32, prefix_len: u8) -> bool {
+        self.installed
+            .contains_key(&(Self::canonical(prefix, prefix_len), prefix_len))
+    }
+
     /// Installs `prefix/prefix_len → action`. Re-installing an existing
     /// prefix updates its action in place. Incremental: readers between any
     /// two inserts see a consistent LPM table containing every rule inserted
@@ -163,12 +182,7 @@ impl LpmTable {
                 field: "LPM action index",
             });
         }
-        // Canonicalise: bits below the prefix length must be zero.
-        let prefix = if prefix_len == 0 {
-            0
-        } else {
-            prefix & (u32::MAX << (32 - u32::from(prefix_len)))
-        };
+        let prefix = Self::canonical(prefix, prefix_len);
         let replacing = self.installed.contains_key(&(prefix, prefix_len));
         if !replacing && self.installed.len() >= self.capacity {
             return Err(RmtError::TableFull { table: "LPM table" });

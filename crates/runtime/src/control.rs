@@ -16,16 +16,15 @@
 //! `process_batch` calls", which is what makes the sharded runtime testable
 //! against one big pipeline.
 //!
-//! # Log compaction
+//! # Admission and compaction
 //!
-//! The log would otherwise grow forever across reconfigurations, so
-//! [`EpochLog`] supports *compaction*: once every shard has acknowledged
-//! epoch `E`, the prefix up to `E` can be folded into a single checkpoint —
-//! a [`MenshenPipeline::config_replica`] holding exactly the configuration
-//! those epochs produced — and the entries dropped. A replica stood up from
-//! the checkpoint plus the remaining suffix is indistinguishable from one
-//! that replayed the full log ([`EpochLog::standby_replica`]), which is what
-//! future elastic resharding needs.
+//! The log only publishes. The runtime decides every op before it reaches
+//! the log: it applies the op to its own configuration replica, the one
+//! pipeline at the newest published epoch, and publishes only what that
+//! replica accepted. So no published configuration op fails on a shard, and
+//! a new or respawned shard starts from a copy of that replica. Once every
+//! shard has acknowledged epoch `E`, nobody reads the entries up to `E`
+//! again, and [`EpochLog::compact`] drops them.
 
 use menshen_core::{
     MenshenPipeline, ModuleConfig, ModuleId, ModuleState, ReconfigCommand, TableRule,
@@ -50,11 +49,11 @@ pub enum ControlOp {
     /// Apply one raw daisy-chain write.
     Command(ReconfigCommand),
     /// Install a batch of flat-table (LPM/range) rules into a loaded
-    /// module's stage. A *configuration* op: it replays identically on every
-    /// shard, on compaction checkpoints and on standby replicas, and — being
-    /// an incremental insert into the module's own flat table — it never
-    /// marks the module as reconfiguring, so traffic keeps flowing while
-    /// rules stream in.
+    /// module's stage. A *configuration* op: it applies identically on every
+    /// shard and on the runtime's configuration replica, and — being an
+    /// incremental insert into the module's own flat table — it never marks
+    /// the module as reconfiguring, so traffic keeps flowing while rules
+    /// stream in.
     InstallRules {
         /// The module whose table grows.
         module: ModuleId,
@@ -74,9 +73,8 @@ pub enum ControlOp {
     /// extracts-and-clears the listed modules' dynamic state
     /// ([`MenshenPipeline::take_module_state`]) and publishes the extracts on
     /// the progress board for the control plane to merge. A *dynamic-state*
-    /// op: it replays as a no-op on configuration replicas (compaction
-    /// checkpoints, standby replicas), which by definition carry no dynamic
-    /// state to extract.
+    /// op: a no-op on configuration replicas, which by definition carry no
+    /// dynamic state to extract.
     ExportState {
         /// The modules whose state moves.
         modules: Vec<ModuleId>,
@@ -129,15 +127,17 @@ pub enum ControlOp {
 }
 
 impl ControlOp {
-    /// Applies this operation to one pipeline replica.
+    /// Applies this operation to one pipeline replica. The runtime applies
+    /// every op to its configuration replica before publishing it, and an
+    /// op refused there is never published; each shard then applies the
+    /// published op to its own replica.
     ///
     /// [`ControlOp::Snapshot`], [`ControlOp::ExportState`],
     /// [`ControlOp::InjectState`], [`ControlOp::ExportStateSnapshot`],
     /// [`ControlOp::ReplaceState`] and [`ControlOp::Retire`] are no-ops here:
     /// they act on *per-shard dynamic state* (or the worker loop itself), so
-    /// the shard handles them in `apply_entry` where it knows its own index
-    /// — and a configuration replica rebuilt from the log (compaction
-    /// checkpoint, standby) correctly skips them, staying config-only.
+    /// the shard handles them in `apply_entry` where it knows its own index,
+    /// and the configuration replica passes them through unchanged.
     pub fn apply(&self, pipeline: &mut MenshenPipeline) -> menshen_core::Result<()> {
         match self {
             ControlOp::Load(config) => pipeline.load_module(config).map(|_| ()),
@@ -165,6 +165,20 @@ impl ControlOp {
             ControlOp::Retire { .. } => Ok(()),
         }
     }
+
+    /// True for an op that changes a replica's configuration; false for the
+    /// dynamic-state ops that [`apply`](Self::apply) passes through.
+    pub(crate) fn configures(&self) -> bool {
+        !matches!(
+            self,
+            ControlOp::Snapshot
+                | ControlOp::ExportState { .. }
+                | ControlOp::InjectState { .. }
+                | ControlOp::ExportStateSnapshot { .. }
+                | ControlOp::ReplaceState { .. }
+                | ControlOp::Retire { .. }
+        )
+    }
 }
 
 /// One published batch of control operations.
@@ -179,8 +193,7 @@ pub struct EpochEntry {
 /// Summary of one [`EpochLog::compact`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompactionReport {
-    /// The epoch the checkpoint now covers (all entries at or below it were
-    /// folded in).
+    /// The newest epoch dropped so far (every entry at or below it is gone).
     pub compacted_epoch: u64,
     /// Entries removed from the log by this compaction.
     pub entries_dropped: usize,
@@ -188,33 +201,30 @@ pub struct CompactionReport {
     pub entries_remaining: usize,
 }
 
-/// The control-plane log: a checkpoint covering a compacted prefix plus the
-/// suffix of still-live [`EpochEntry`]s. Entries carry contiguous epochs
-/// `base_epoch + 1, base_epoch + 2, …`, which makes "everything after epoch
-/// `X`" an index computation rather than a scan.
+/// The control-plane log: the suffix of [`EpochEntry`]s that some shard may
+/// still have to apply. Entries carry contiguous epochs `base_epoch + 1,
+/// base_epoch + 2, …`, which makes "everything after epoch `X`" an index
+/// computation rather than a scan.
 #[derive(Debug, Default)]
 pub struct EpochLog {
-    /// Epoch the checkpoint covers; `0` before any compaction.
+    /// The newest dropped epoch; `0` before any compaction.
     base_epoch: u64,
-    /// Configuration state after applying every epoch up to `base_epoch`
-    /// (a config replica: loaded modules and routing, no dynamic state).
-    checkpoint: Option<Box<MenshenPipeline>>,
     /// Entries `base_epoch + 1 ..`, in epoch order.
     entries: Vec<EpochEntry>,
 }
 
 impl EpochLog {
-    /// An empty log (epoch 0, no checkpoint).
+    /// An empty log (epoch 0).
     pub fn new() -> Self {
         EpochLog::default()
     }
 
-    /// The epoch the compacted checkpoint covers (0 before any compaction).
+    /// The newest dropped epoch (0 before any compaction).
     pub fn base_epoch(&self) -> u64 {
         self.base_epoch
     }
 
-    /// The newest epoch in the log (checkpoint or entries).
+    /// The newest epoch in the log (live or dropped).
     pub fn newest_epoch(&self) -> u64 {
         self.entries
             .last()
@@ -245,8 +255,8 @@ impl EpochLog {
 
     /// Clones the entries with epochs strictly greater than `epoch` — what a
     /// shard that has applied `epoch` still has to do. `epoch` must not
-    /// predate the checkpoint (a shard can never be behind the compacted
-    /// prefix, because compaction waits for every shard's ack).
+    /// predate the dropped prefix (a shard can never be behind it, because
+    /// compaction waits for every shard's ack).
     pub fn entries_after(&self, epoch: u64) -> Vec<EpochEntry> {
         assert!(
             epoch >= self.base_epoch,
@@ -257,52 +267,17 @@ impl EpochLog {
         self.entries[skip.min(self.entries.len())..].to_vec()
     }
 
-    /// Folds every entry with epoch ≤ `upto` into a fresh checkpoint and
-    /// drops those entries. `genesis` supplies the epoch-0 configuration
-    /// (used the first time, when no checkpoint exists yet). The caller must
-    /// guarantee every shard has acknowledged `upto`.
-    ///
-    /// Failed ops are skipped exactly the way live replicas skip them
-    /// ([`crate::shard`] applies every op of an entry and records the first
-    /// error), so the checkpoint cannot diverge from the replicas.
-    pub fn compact(&mut self, upto: u64, genesis: &MenshenPipeline) -> CompactionReport {
-        let fold = ((upto.max(self.base_epoch) - self.base_epoch) as usize).min(self.entries.len());
-        if fold > 0 {
-            let mut checkpoint = match self.checkpoint.take() {
-                Some(existing) => existing,
-                None => Box::new(genesis.config_replica()),
-            };
-            for entry in self.entries.drain(..fold) {
-                for op in &entry.ops {
-                    // Same error semantics as a live replica: keep going.
-                    let _ = op.apply(&mut checkpoint);
-                }
-                self.base_epoch = entry.epoch;
-            }
-            self.checkpoint = Some(checkpoint);
-        }
+    /// Drops every entry with epoch ≤ `upto`. The caller must guarantee
+    /// every shard has acknowledged `upto`.
+    pub fn compact(&mut self, upto: u64) -> CompactionReport {
+        let drop = ((upto.max(self.base_epoch) - self.base_epoch) as usize).min(self.entries.len());
+        self.entries.drain(..drop);
+        self.base_epoch += drop as u64;
         CompactionReport {
             compacted_epoch: self.base_epoch,
-            entries_dropped: fold,
+            entries_dropped: drop,
             entries_remaining: self.entries.len(),
         }
-    }
-
-    /// Stands up a fresh configuration replica from the log: the checkpoint
-    /// (or `genesis` when none exists) plus every live entry. The result is
-    /// what a brand-new shard would run — identical to a replica that
-    /// replayed the full, uncompacted history.
-    pub fn standby_replica(&self, genesis: &MenshenPipeline) -> MenshenPipeline {
-        let mut replica = match &self.checkpoint {
-            Some(checkpoint) => checkpoint.config_replica(),
-            None => genesis.config_replica(),
-        };
-        for entry in &self.entries {
-            for op in &entry.ops {
-                let _ = op.apply(&mut replica);
-            }
-        }
-        replica
     }
 }
 
@@ -355,46 +330,36 @@ mod tests {
 
     #[test]
     fn compaction_preserves_replayed_configuration() {
-        let genesis = MenshenPipeline::new(TABLE5);
         let mut log = EpochLog::new();
         for epoch in 1..=6u64 {
             log.append(entry(epoch, epoch as u16));
         }
-        let full_replay = log.standby_replica(&genesis);
 
-        let report = log.compact(4, &genesis);
+        let report = log.compact(4);
         assert_eq!(report.compacted_epoch, 4);
         assert_eq!(report.entries_dropped, 4);
         assert_eq!(report.entries_remaining, 2);
         assert_eq!(log.base_epoch(), 4);
         assert_eq!(log.len(), 2);
         assert_eq!(log.newest_epoch(), 6);
+        // The suffix a shard at epoch 4 still replays is intact.
+        let suffix = log.entries_after(4);
+        assert_eq!(suffix.iter().map(|e| e.epoch).collect::<Vec<_>>(), [5, 6]);
 
-        let post_compaction = log.standby_replica(&genesis);
-        assert_eq!(
-            post_compaction.loaded_modules(),
-            full_replay.loaded_modules(),
-            "a replica stood up post-compaction matches a full-log replay"
-        );
-
-        // Compacting the rest empties the log without losing configuration.
-        let report = log.compact(6, &genesis);
+        // Compacting the rest empties the log.
+        let report = log.compact(6);
         assert_eq!(report.entries_dropped, 2);
         assert!(log.is_empty());
-        assert_eq!(
-            log.standby_replica(&genesis).loaded_modules(),
-            full_replay.loaded_modules()
-        );
+        assert_eq!(log.newest_epoch(), 6);
 
         // Compacting past the newest epoch or re-compacting is a no-op.
-        let report = log.compact(10, &genesis);
+        let report = log.compact(10);
         assert_eq!(report.entries_dropped, 0);
         assert_eq!(report.compacted_epoch, 6);
     }
 
     #[test]
     fn entries_after_respects_the_compacted_base() {
-        let genesis = MenshenPipeline::new(TABLE5);
         let mut log = EpochLog::new();
         for epoch in 1..=5u64 {
             log.append(entry(epoch, epoch as u16));
@@ -404,7 +369,7 @@ mod tests {
         assert_eq!(log.entries_after(3)[0].epoch, 4);
         assert!(log.entries_after(9).is_empty());
 
-        log.compact(2, &genesis);
+        log.compact(2);
         assert_eq!(log.entries_after(2).len(), 3);
         assert_eq!(log.entries_after(4).len(), 1);
     }
@@ -412,12 +377,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "behind the compacted prefix")]
     fn entries_after_panics_behind_the_checkpoint() {
-        let genesis = MenshenPipeline::new(TABLE5);
         let mut log = EpochLog::new();
         for epoch in 1..=3u64 {
             log.append(entry(epoch, epoch as u16));
         }
-        log.compact(2, &genesis);
+        log.compact(2);
         let _ = log.entries_after(1);
     }
 }

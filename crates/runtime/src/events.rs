@@ -99,7 +99,7 @@ pub enum ControlEventKind {
         /// The epoch carrying the request.
         epoch: u64,
     },
-    /// The acknowledged log prefix was folded into the checkpoint.
+    /// The acknowledged log prefix was dropped from the log.
     LogCompacted {
         /// The new base epoch.
         through_epoch: u64,

@@ -33,14 +33,17 @@
 //!   `unsafe` in the crate, confined to a private module of `ring.rs`. The
 //!   same ring type carries each shard's spent bursts back to the
 //!   submitting thread, which frees the frames it allocated.
-//! * [`control`] — every configuration change is one [`ControlOp`] batch
-//!   published as a numbered epoch; shards apply epochs in order at burst
+//! * [`control`] — every configuration change is one [`ControlOp`] batch,
+//!   decided on the runtime's configuration replica and then published as
+//!   a numbered epoch (a refused op is never published); shards apply
+//!   epochs in order at burst
 //!   boundaries and acknowledge them, and the flush barrier quiesces every
 //!   dispatcher before an epoch publishes, giving hitless reconfiguration
 //!   at any dispatcher count. The same machinery carries **live
 //!   resharding**: [`ShardedRuntime::resize`] / [`ShardedRuntime::set_reta`]
 //!   export the moving tenants' state (`ExportState`), stand shards up from
-//!   the compacted log or retire them (`Retire`), replay the state into its
+//!   the runtime's configuration replica or retire them (`Retire`), replay
+//!   the state into its
 //!   new owners (`InjectState`), and publish the new RETA — all at a full
 //!   quiesce, so no packet ever observes a half-moved tenant. Under 5-tuple
 //!   steering a non-mergeable stateful program is **replicated**

@@ -90,11 +90,6 @@ impl<T> PushError<T> {
             PushError::Closed(value) | PushError::Timeout(value) => value,
         }
     }
-
-    /// True when the rejection was a deadline expiry, not a closed ring.
-    pub fn is_timeout(&self) -> bool {
-        matches!(self, PushError::Timeout(_))
-    }
 }
 
 /// Pads (and aligns) a value to a cache line so the producer's and

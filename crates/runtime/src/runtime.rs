@@ -55,7 +55,7 @@ use crate::shard::{
 };
 use menshen_core::TableRule;
 use menshen_core::{labels, MetricsSnapshot, StageProfile, TenantTelemetry, PROFILE_PHASES};
-use menshen_core::{CoreError, StateDigest, StateMergeability};
+use menshen_core::{CoreError, DigestSpec, StateDigest, StateMergeability};
 use menshen_core::{MenshenPipeline, ModuleConfig, ModuleCounters, ModuleId, ReconfigCommand};
 use menshen_core::{ModuleState, SystemStats, Verdict, BURST_SIZE};
 use menshen_json::Json;
@@ -192,9 +192,12 @@ impl RuntimeOptions {
 /// Errors surfaced by the sharded runtime.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RuntimeError {
-    /// A control-plane epoch failed on at least one shard. Replicas apply
-    /// identical ops in identical order, so a failure is always global (every
-    /// shard reports the same error).
+    /// A published epoch failed on a shard. Every configuration op is
+    /// decided before it is published (a refusal is
+    /// [`RuntimeError::Rejected`]), so only what acts on one shard's own
+    /// state fails here: a state injection ([`ControlOp::InjectState`],
+    /// [`ControlOp::ReplaceState`]) that shard refuses, or a fault injected
+    /// by a [`FaultPlan`].
     Control {
         /// The epoch that failed.
         epoch: u64,
@@ -223,9 +226,10 @@ pub enum RuntimeError {
         /// What was wrong with the request.
         message: String,
     },
-    /// A load or update failed the pipeline's static checks
-    /// ([`MenshenPipeline::check_module_config`]) and was refused before any
-    /// steering change or epoch.
+    /// The runtime's configuration replica refused a control op — a load
+    /// or update that fails [`MenshenPipeline::check_module_config`] or does
+    /// not fit, a duplicate or unknown module ID, a rule batch the table
+    /// would not take. Nothing was published and steering is unchanged.
     Rejected(CoreError),
     /// An epoch wait exceeded its configured deadline
     /// ([`ShardedRuntime::set_control_timeout`] /
@@ -550,8 +554,8 @@ fn push_inline(
 }
 
 /// Once the live portion of the epoch log reaches this many entries, the
-/// synchronous control path folds the acknowledged prefix into the
-/// checkpoint so the log stops growing across reconfigurations.
+/// synchronous control path drops the acknowledged prefix so the log stops
+/// growing across reconfigurations.
 const COMPACT_THRESHOLD: usize = 8;
 
 /// The event-trace record for one control operation, if it has one. Epoch
@@ -610,6 +614,38 @@ fn op_event(op: &ControlOp, epoch: u64) -> Option<ControlEventKind> {
     })
 }
 
+/// The digest spec `module` replicates under on a runtime whose
+/// configuration is `head`: under 5-tuple steering, a loaded module whose
+/// stateful memory is non-mergeable replicates. Tenant-affine steering is
+/// single-owner, so nothing replicates there.
+fn replication(head: &MenshenPipeline, mode: SteeringMode, module: ModuleId) -> Option<DigestSpec> {
+    if mode != SteeringMode::FiveTuple {
+        return None;
+    }
+    match head.module_state_mergeability(module)? {
+        StateMergeability::NonMergeable { .. } => head.module_digest_spec(module),
+        _ => None,
+    }
+}
+
+/// Sets the steerer's entry for each of `modules` to its [`replication`]
+/// under `head`. Returns true if any entry changed, so the dispatchers need
+/// the new steerer.
+fn derive_replication(
+    steerer: &mut Steerer,
+    head: &MenshenPipeline,
+    modules: Vec<ModuleId>,
+) -> bool {
+    let mut changed = false;
+    for module in modules {
+        changed |= match replication(head, steerer.mode(), module) {
+            Some(spec) => steerer.set_replicated(module.value(), Arc::new(spec)),
+            None => steerer.clear_replicated(module.value()),
+        };
+    }
+    changed
+}
+
 /// The sharded multi-core runtime. See the module docs for the architecture.
 pub struct ShardedRuntime {
     options: RuntimeOptions,
@@ -617,9 +653,11 @@ pub struct ShardedRuntime {
     shared: Arc<Shared>,
     backend: Backend,
     epoch: u64,
-    /// The epoch-0 configuration replica: the seed for log compaction
-    /// checkpoints and standby replicas.
-    genesis: MenshenPipeline,
+    /// The configuration replica at the newest published epoch. Every
+    /// control op is applied here before it is published, and a refused op
+    /// is never published; standby replicas and the replicated set are
+    /// derived from it.
+    head: MenshenPipeline,
     // Dispatcher scratch, reused across calls so steady-state dispatch does
     // not allocate. In deterministic mode the scratch is indexed by
     // (dispatcher × shard) group; the inline threaded path keeps one open
@@ -696,18 +734,9 @@ impl ShardedRuntime {
         assert!(options.shards >= 1, "at least one shard is required");
         assert!(options.burst_size >= 1, "burst size must be positive");
         let shared = Arc::new(Shared::new(options.shards, options.dispatchers));
+        let head = template.config_replica();
         let mut steerer = Steerer::new(options.steering, options.shards);
-        if options.steering == SteeringMode::FiveTuple {
-            for module in template.loaded_modules() {
-                let non_mergeable = matches!(
-                    template.module_state_mergeability(module),
-                    Some(StateMergeability::NonMergeable { .. })
-                );
-                if let (true, Some(spec)) = (non_mergeable, template.module_digest_spec(module)) {
-                    steerer.set_replicated(module.value(), Arc::new(spec));
-                }
-            }
-        }
+        derive_replication(&mut steerer, &head, head.loaded_modules());
         let backend = match options.mode {
             ExecutionMode::Deterministic => Backend::Deterministic(
                 (0..options.shards)
@@ -799,7 +828,7 @@ impl ShardedRuntime {
             shared,
             backend,
             epoch: 0,
-            genesis: template.config_replica(),
+            head,
             options,
         }
     }
@@ -807,11 +836,6 @@ impl ShardedRuntime {
     /// Number of worker shards.
     pub fn shard_count(&self) -> usize {
         self.options.shards
-    }
-
-    /// Number of dispatcher threads (0 = inline dispatch).
-    pub fn dispatcher_count(&self) -> usize {
-        self.options.dispatchers
     }
 
     /// The execution mode.
@@ -857,12 +881,30 @@ impl ShardedRuntime {
     /// quiesces every dispatcher thread too (partial bursts drained), so the
     /// ordering holds for any dispatcher count.
     ///
-    /// This is the unchecked low-level entry point: ops are applied as
-    /// given, without the state-mergeability gate the typed wrappers
-    /// ([`load_module`](Self::load_module) /
-    /// [`update_module`](Self::update_module)) enforce under 5-tuple
-    /// steering.
-    pub fn publish(&mut self, ops: Vec<ControlOp>) -> u64 {
+    /// Every op is applied to `head` first. If `head` refuses one, nothing
+    /// is published, the epoch does not move and steering is untouched:
+    /// the result is [`RuntimeError::Rejected`]. Otherwise the replication
+    /// of the modules the entry touched is re-derived from `head` right
+    /// after publishing, before anyone waits, so even an
+    /// [`RuntimeError::EpochTimeout`] leaves steering equal to the published
+    /// program.
+    fn publish(&mut self, ops: Vec<ControlOp>) -> Result<u64, RuntimeError> {
+        self.debug_assert_replication();
+        // Every typed wrapper publishes at most one configuration op per
+        // entry, and the pipeline refuses an op before changing anything, so
+        // a refusal leaves `head` exactly as it was.
+        debug_assert!(ops.iter().filter(|op| op.configures()).count() <= 1);
+        for op in &ops {
+            op.apply(&mut self.head).map_err(RuntimeError::Rejected)?;
+        }
+        // The modules whose replication the entry can change: the one a load,
+        // update or unload names, or every loaded one after a raw write.
+        let touched = match ops.iter().find(|op| op.configures()) {
+            Some(ControlOp::Load(config) | ControlOp::Update(config)) => vec![config.module_id],
+            Some(ControlOp::Unload(module)) => vec![*module],
+            Some(ControlOp::Command(_)) => self.head.loaded_modules(),
+            _ => Vec::new(),
+        };
         self.epoch += 1;
         let now_ns = self.shared.now_ns();
         self.shared.events.emit(
@@ -898,10 +940,8 @@ impl ShardedRuntime {
             }
             Backend::Threaded { .. } => {}
         }
-        // Both modes append to the log — it is the durable control-plane
-        // history that compaction checkpoints and standby replicas are
-        // reconstructed from. Deterministic shards already applied the entry
-        // above; threaded shards pick it up from here.
+        // Both modes append to the log. Deterministic shards already applied
+        // the entry above; threaded shards pick it up from here.
         self.shared
             .log
             .lock()
@@ -915,7 +955,25 @@ impl ShardedRuntime {
                 worker.parker.unpark();
             }
         }
-        self.epoch
+        if derive_replication(&mut self.steerer, &self.head, touched) {
+            self.push_steering();
+        }
+        Ok(self.epoch)
+    }
+
+    /// Debug builds: the steerer replicates exactly the loaded modules of
+    /// `head` that [`replication`] names.
+    fn debug_assert_replication(&self) {
+        debug_assert_eq!(
+            self.steerer.replicated_modules(),
+            self.head
+                .loaded_modules()
+                .into_iter()
+                .filter(|&m| replication(&self.head, self.steerer.mode(), m).is_some())
+                .map(|m| m.value())
+                .collect::<Vec<_>>(),
+            "the replicated set drifted from the published program"
+        );
     }
 
     /// Blocks until every *live* shard has applied `epoch`. Returns `Ok` when
@@ -1012,8 +1070,8 @@ impl ShardedRuntime {
     }
 
     /// Synchronous control-plane round trip: flush in-flight traffic, publish
-    /// one epoch, wait for every shard to apply it, and surface the first
-    /// error if the ops failed (identically, on every replica).
+    /// one epoch (or return `Rejected` without publishing), wait for every
+    /// shard to apply it, and surface the first shard error for it.
     fn control(&mut self, ops: Vec<ControlOp>) -> Result<(), RuntimeError> {
         // The pre-publish flush honours the control timeout too: a stalled
         // shard turns the sync op into a typed `EpochTimeout` instead of a
@@ -1029,42 +1087,27 @@ impl ShardedRuntime {
         } else {
             self.flush();
         }
-        let epoch = self.publish(ops);
+        let epoch = self.publish(ops)?;
         self.wait_for_epoch(epoch)?;
-        let result = {
-            let progress = self.shared.progress.lock().expect("progress lock poisoned");
-            progress
-                .shards
-                .iter()
-                .find_map(|slot| match &slot.last_error {
-                    Some((failed_epoch, message)) if *failed_epoch == epoch => {
-                        Some(Err(RuntimeError::Control {
-                            epoch,
-                            message: message.clone(),
-                        }))
-                    }
-                    _ => None,
-                })
-                .unwrap_or(Ok(()))
-        };
+        let result = self.epoch_error(epoch).map_or(Ok(()), Err);
         // Every live shard has acknowledged `epoch` at this point, so the
-        // whole log prefix is compactable; fold it into the checkpoint once
-        // enough entries accumulate, keeping the log bounded across
-        // arbitrarily many reconfigurations.
+        // whole log prefix is compactable; drop it once enough entries
+        // accumulate, keeping the log bounded across arbitrarily many
+        // reconfigurations.
         let needs_compaction =
             self.shared.log.lock().expect("log lock poisoned").len() >= COMPACT_THRESHOLD;
         if needs_compaction {
             self.compact_log();
         }
+        self.debug_assert_replication();
         result
     }
 
-    /// Folds every epoch that *all live shards* have acknowledged into the
-    /// log's checkpoint (one `config_replica` snapshot) and drops those
-    /// entries. Called automatically by the synchronous control-plane
-    /// wrappers once the log reaches a threshold; public so callers driving
-    /// [`publish`](Self::publish) directly can compact on their own
-    /// schedule.
+    /// Drops every epoch that *all live shards* have acknowledged from the
+    /// log. Called automatically by the synchronous control-plane wrappers
+    /// once the log reaches a threshold; public so callers publishing with
+    /// [`install_rules_async`](Self::install_rules_async) can compact on
+    /// their own schedule.
     pub fn compact_log(&mut self) -> CompactionReport {
         let min_applied = {
             let progress = self.shared.progress.lock().expect("progress lock poisoned");
@@ -1082,7 +1125,7 @@ impl ShardedRuntime {
             .log
             .lock()
             .expect("log lock poisoned")
-            .compact(min_applied, &self.genesis);
+            .compact(min_applied);
         if report.entries_dropped > 0 {
             self.shared.events.emit(
                 self.shared.now_ns(),
@@ -1100,7 +1143,7 @@ impl ShardedRuntime {
         self.shared.log.lock().expect("log lock poisoned").len()
     }
 
-    /// The epoch the log's compaction checkpoint covers (0 before any
+    /// The newest epoch compaction has dropped from the log (0 before any
     /// compaction).
     pub fn compacted_epoch(&self) -> u64 {
         self.shared
@@ -1110,50 +1153,12 @@ impl ShardedRuntime {
             .base_epoch()
     }
 
-    /// Stands up a fresh configuration replica from the control-plane log:
-    /// the compaction checkpoint (or the construction-time configuration)
-    /// plus every live entry. This is exactly the pipeline a brand-new shard
-    /// would run — the building block for elastic scale-out — and is
-    /// guaranteed to match a replica that replayed the full, uncompacted
-    /// history.
+    /// A fresh configuration replica at the newest published epoch (a
+    /// [`MenshenPipeline::config_replica`] of the runtime's own): exactly
+    /// the pipeline a brand-new shard runs, which is what scale-out and
+    /// recovery spawn from.
     pub fn standby_replica(&self) -> MenshenPipeline {
-        self.shared
-            .log
-            .lock()
-            .expect("log lock poisoned")
-            .standby_replica(&self.genesis)
-    }
-
-    /// Admits a load or update: refuses a configuration that fails the
-    /// pipeline's static checks ([`MenshenPipeline::check_module_config`])
-    /// before any steering change or epoch, then aligns the module's
-    /// steering with its state classification
-    /// ([`ModuleConfig::state_mergeability`]). Under 5-tuple steering
-    /// mergeable (and stateless) modules spread with no extra machinery,
-    /// while non-mergeable modules are replicated: the dispatch plane
-    /// extracts a state digest from each packet ([`Steerer::digest_spec_for`])
-    /// and broadcasts it to the non-owning shards, which replay it in global
-    /// order. Tenant-affine steering is already single-owner, so nothing is
-    /// replicated there. A steering change reaches the dispatchers before the
-    /// next packet is steered.
-    fn admit(&mut self, config: &ModuleConfig) -> Result<(), RuntimeError> {
-        self.genesis
-            .check_module_config(config)
-            .map_err(RuntimeError::Rejected)?;
-        let module = config.module_id.value();
-        let replicate = self.steerer.mode() == SteeringMode::FiveTuple
-            && matches!(
-                config.state_mergeability(),
-                StateMergeability::NonMergeable { .. }
-            );
-        let changed = match config.digest_spec() {
-            Ok(spec) if replicate => self.steerer.set_replicated(module, Arc::new(spec)),
-            _ => self.steerer.clear_replicated(module),
-        };
-        if changed {
-            self.push_steering();
-        }
-        Ok(())
+        self.head.config_replica()
     }
 
     /// Pushes the runtime's current steerer (RETA, shard count, replicated
@@ -1161,48 +1166,46 @@ impl ShardedRuntime {
     /// topology. The dispatchers adopt it before steering their next chunk;
     /// the calling thread owns `&mut self`, so no packet can be submitted in
     /// between.
-    fn push_steering(&mut self) {
-        if let Backend::Threaded { dispatchers, .. } = &self.backend {
-            for index in 0..dispatchers.len() {
-                self.shared.stage_dispatcher_update(
-                    index,
-                    DispatcherUpdate {
-                        steerer: self.steerer.clone(),
-                        keep: self.options.shards,
-                        append: Vec::new(),
-                        replace: Vec::new(),
-                    },
-                );
-            }
+    fn push_steering(&self) {
+        let Backend::Threaded { dispatchers, .. } = &self.backend else {
+            return;
+        };
+        for index in 0..dispatchers.len() {
+            self.shared.stage_dispatcher_update(
+                index,
+                DispatcherUpdate {
+                    steerer: self.steerer.clone(),
+                    keep: self.options.shards,
+                    append: Vec::new(),
+                    replace: Vec::new(),
+                },
+            );
         }
     }
 
     /// Loads a module on every shard replica (one epoch). Under 5-tuple
-    /// steering, a module with non-mergeable stateful memory is replicated
-    /// (digest-broadcast, see [`replicated_modules`](Self::replicated_modules))
-    /// rather than refused. A configuration that fails the pipeline's static
-    /// checks is refused with [`RuntimeError::Rejected`] and publishes no
-    /// epoch.
+    /// steering, mergeable (and stateless) modules spread with no extra
+    /// machinery, while a module with non-mergeable stateful memory is
+    /// replicated (digest-broadcast, see
+    /// [`replicated_modules`](Self::replicated_modules)) rather than
+    /// refused. A load the pipeline refuses — failed static checks, no room,
+    /// a module ID already loaded — is [`RuntimeError::Rejected`] and
+    /// publishes no epoch.
     pub fn load_module(&mut self, config: &ModuleConfig) -> Result<(), RuntimeError> {
-        self.admit(config)?;
         self.control(vec![ControlOp::Load(Box::new(config.clone()))])
     }
 
     /// Updates a loaded module on every shard replica (one epoch),
     /// re-aligning its steering with the new program's state
     /// classification. Refused like [`load_module`](Self::load_module), and
-    /// then the running program is untouched.
+    /// then the running program and its steering are untouched.
     pub fn update_module(&mut self, config: &ModuleConfig) -> Result<(), RuntimeError> {
-        self.admit(config)?;
         self.control(vec![ControlOp::Update(Box::new(config.clone()))])
     }
 
     /// Unloads a module from every shard replica (one epoch) and clears any
     /// replication entry it held.
     pub fn unload_module(&mut self, module: ModuleId) -> Result<(), RuntimeError> {
-        if self.steerer.clear_replicated(module.value()) {
-            self.push_steering();
-        }
         self.control(vec![ControlOp::Unload(module)])
     }
 
@@ -1253,9 +1256,10 @@ impl ShardedRuntime {
     }
 
     /// Installs rules into a module's flat match table (LPM or range) on
-    /// every shard replica, synchronously: flushes in-flight traffic, waits
-    /// for every shard to apply the epoch, and surfaces the first install
-    /// error. The insert itself is incremental — the module is never marked
+    /// every shard replica, synchronously: flushes in-flight traffic, then
+    /// publishes the batch and waits for every shard to apply it. A batch
+    /// the table would refuse is [`RuntimeError::Rejected`], with no rule
+    /// installed anywhere. The insert itself is incremental — the module is never marked
     /// reconfiguring, so its packets keep forwarding right up to (and after)
     /// the epoch boundary.
     pub fn install_rules(
@@ -1275,14 +1279,14 @@ impl ShardedRuntime {
     /// non-quiescing control path. Shards pick the rules up at their next
     /// burst boundary while continuing to process traffic; use
     /// [`wait_for_epoch`](Self::wait_for_epoch) with the returned epoch to
-    /// observe global visibility. Install errors surface via
-    /// [`epoch_error`](Self::epoch_error) rather than here.
+    /// observe global visibility. A batch the table would refuse is
+    /// [`RuntimeError::Rejected`] here, before anything is published.
     pub fn install_rules_async(
         &mut self,
         module: ModuleId,
         stage: usize,
         rules: &[TableRule],
-    ) -> u64 {
+    ) -> Result<u64, RuntimeError> {
         self.publish(vec![ControlOp::InstallRules {
             module,
             stage,
@@ -1290,10 +1294,8 @@ impl ShardedRuntime {
         }])
     }
 
-    /// The first shard error recorded for `epoch`, if any — the async
-    /// counterpart to the synchronous wrappers' error propagation. Control
-    /// ops replay identically on every replica, so one shard's error speaks
-    /// for all of them.
+    /// The first shard error recorded for `epoch`, if any: what still fails
+    /// on a shard once an epoch is published (see [`RuntimeError::Control`]).
     pub fn epoch_error(&self, epoch: u64) -> Option<RuntimeError> {
         let progress = self.shared.progress.lock().expect("progress lock poisoned");
         progress
@@ -1339,8 +1341,8 @@ impl ShardedRuntime {
     ///    plus, on a shrink under 5-tuple steering, everything still on the
     ///    retiring shards), and snapshots its telemetry.
     /// 3. **Stand up / retire** — new shards spawn from
-    ///    [`standby_replica`](Self::standby_replica) (checkpoint + live
-    ///    epoch suffix, exactly the current configuration); on a shrink the
+    ///    [`standby_replica`](Self::standby_replica) (exactly the current
+    ///    configuration); on a shrink the
     ///    retiring shards' telemetry is folded into the
     ///    [`retired_tally`](Self::retired_tally).
     /// 4. **Inject + commit** — a second epoch replays each merged extract
@@ -1408,9 +1410,8 @@ impl ShardedRuntime {
         new_steerer.retarget(new_shards);
         new_steerer.set_reta(new_reta);
 
-        // The current configuration, reconstructed from the log: both the
-        // loaded-module list for the migration plan and the template the new
-        // shards replicate.
+        // The current configuration: both the loaded-module list for the
+        // migration plan and the template the new shards replicate.
         let standby = self.standby_replica();
 
         // Plan the moves. Single-owner modules (every module under
@@ -1473,7 +1474,7 @@ impl ShardedRuntime {
             });
         }
         ops.push(ControlOp::Snapshot);
-        let export_epoch = self.publish(ops);
+        let export_epoch = self.publish(ops)?;
         self.wait_for_epoch(export_epoch)?;
 
         // Merge the per-shard extracts. The retiring shards' telemetry is
@@ -1629,21 +1630,9 @@ impl ShardedRuntime {
         let commit_epoch = if ops.is_empty() {
             export_epoch
         } else {
-            let epoch = self.publish(ops);
+            let epoch = self.publish(ops)?;
             self.wait_for_epoch(epoch)?;
-            let progress = self.shared.progress.lock().expect("progress lock poisoned");
-            commit_error = progress
-                .shards
-                .iter()
-                .find_map(|slot| match &slot.last_error {
-                    Some((failed_epoch, message)) if *failed_epoch == epoch => {
-                        Some(RuntimeError::Control {
-                            epoch,
-                            message: message.clone(),
-                        })
-                    }
-                    _ => None,
-                });
+            commit_error = self.epoch_error(epoch);
             epoch
         };
 
@@ -2480,7 +2469,7 @@ impl ShardedRuntime {
             }
             if changed {
                 self.steerer.set_reta(reta);
-                self.stage_steering_to_all();
+                self.push_steering();
                 let _ = self.await_steering_adoption(Instant::now() + self.options.submit_wait);
             }
         }
@@ -2521,7 +2510,7 @@ impl ShardedRuntime {
                 }
                 self.steerer.set_reta(reta);
             }
-            self.stage_steering_to_all();
+            self.push_steering();
             // Best effort: a dispatcher that misses the window sheds onto
             // the sealed ring's `Closed` path, which stays on the books.
             let _ = self.await_steering_adoption(Instant::now() + self.options.submit_wait);
@@ -2560,7 +2549,7 @@ impl ShardedRuntime {
                 };
             }
             self.lost_folded += lost_now;
-            // Phase 2c: respawn in place from the compacted log — the
+            // Phase 2c: respawn in place from the standby replica — the
             // replacement embodies the current epoch, so `entries_after`
             // hands it nothing stale — and swap its fresh rings into the
             // original slot, restoring the original steering.
@@ -2632,11 +2621,13 @@ impl ShardedRuntime {
                     let _ = self.flush_until(Some(Instant::now() + self.options.submit_wait));
                     let modules: Vec<ModuleId> =
                         replicated.iter().map(|m| ModuleId::new(*m)).collect();
-                    let export_epoch = self.publish(vec![ControlOp::ExportStateSnapshot {
-                        modules,
-                        shard: donor,
-                    }]);
-                    if self.wait_for_epoch(export_epoch).is_ok() {
+                    let exported = self
+                        .publish(vec![ControlOp::ExportStateSnapshot {
+                            modules,
+                            shard: donor,
+                        }])
+                        .and_then(|epoch| self.wait_for_epoch(epoch).map(|()| epoch));
+                    if let Ok(export_epoch) = exported {
                         let mut seeds: Vec<ModuleState> = Vec::new();
                         {
                             let mut progress =
@@ -2658,8 +2649,7 @@ impl ShardedRuntime {
                                 });
                             }
                         }
-                        if !ops.is_empty() {
-                            let epoch = self.publish(ops);
+                        if let (false, Ok(epoch)) = (ops.is_empty(), self.publish(ops)) {
                             let _ = self.wait_for_epoch(epoch);
                         }
                     }
@@ -2682,25 +2672,6 @@ impl ShardedRuntime {
             });
         }
         reports
-    }
-
-    /// Stages the runtime's current steerer to every dispatcher, topology
-    /// unchanged.
-    fn stage_steering_to_all(&self) {
-        let Backend::Threaded { dispatchers, .. } = &self.backend else {
-            return;
-        };
-        for index in 0..dispatchers.len() {
-            self.shared.stage_dispatcher_update(
-                index,
-                DispatcherUpdate {
-                    steerer: self.steerer.clone(),
-                    keep: self.options.shards,
-                    append: Vec::new(),
-                    replace: Vec::new(),
-                },
-            );
-        }
     }
 
     // -----------------------------------------------------------------------
@@ -3108,7 +3079,7 @@ impl ShardedRuntime {
         let epoch = self.publish(vec![ControlOp::ExportStateSnapshot {
             modules: modules.to_vec(),
             shard,
-        }]);
+        }])?;
         self.wait_for_epoch(epoch)?;
         let mut exports = {
             let mut progress = self.shared.progress.lock().expect("progress lock poisoned");
@@ -3507,7 +3478,7 @@ mod tests {
     }
 
     #[test]
-    fn control_errors_propagate_and_replicas_agree() {
+    fn refused_control_ops_publish_nothing_and_replicas_agree() {
         let mut runtime = ShardedRuntime::new(TABLE5, RuntimeOptions::threaded(2));
         runtime
             .load_module(&simple_module(1, 0x0a00_0002, 1111))
@@ -3515,12 +3486,19 @@ mod tests {
         let err = runtime
             .load_module(&simple_module(1, 0x0a00_0002, 1111))
             .unwrap_err();
-        assert!(matches!(err, RuntimeError::Control { .. }), "{err}");
-        // The runtime stays usable after a failed epoch.
+        assert!(
+            matches!(
+                err,
+                RuntimeError::Rejected(CoreError::ModuleAlreadyLoaded { module_id: 1 })
+            ),
+            "{err}"
+        );
+        assert_eq!(runtime.current_epoch(), 1, "the refusal published nothing");
+        // The runtime stays usable after a refused op.
         runtime
             .load_module(&simple_module(2, 0x0a00_0002, 2222))
             .unwrap();
-        assert_eq!(runtime.applied_epochs(), vec![3, 3]);
+        assert_eq!(runtime.applied_epochs(), vec![2, 2]);
     }
 
     #[test]
@@ -3856,9 +3834,9 @@ mod tests {
             "log grew to {max_log_len} entries despite compaction"
         );
         assert!(runtime.compacted_epoch() > 0, "compaction actually ran");
-        // 5 first-time loads + 25 rounds of (failed load + update): failed
-        // epochs count too — they replay as identical failures everywhere.
-        assert_eq!(runtime.current_epoch(), 55);
+        // 5 first-time loads + 25 updates: the 25 refused loads published
+        // nothing.
+        assert_eq!(runtime.current_epoch(), 30);
 
         // A replica stood up from the compacted log matches the full replay.
         let mut standby = runtime.standby_replica();
@@ -3996,8 +3974,9 @@ mod tests {
     fn rule_install_rejects_foreign_action_indices() {
         let mut runtime = ShardedRuntime::new(TABLE5, RuntimeOptions::deterministic(2));
         runtime.load_module(&lpm_module(9)).unwrap();
-        // Action index 2 is outside the module's two table actions — the
-        // rebase check must refuse it identically on every replica.
+        // Action index 2 is outside the module's two table actions: the
+        // runtime's configuration replica refuses it, so nothing publishes.
+        let epoch = runtime.current_epoch();
         let err = runtime
             .install_rules(
                 ModuleId::new(9),
@@ -4009,7 +3988,11 @@ mod tests {
                 })],
             )
             .unwrap_err();
-        assert!(matches!(err, RuntimeError::Control { .. }), "{err:?}");
+        assert!(
+            matches!(err, RuntimeError::Rejected(CoreError::BadReconfigPacket(_))),
+            "{err:?}"
+        );
+        assert_eq!(runtime.current_epoch(), epoch, "no epoch was published");
         // The module keeps forwarding with its original rule.
         let verdicts = runtime
             .process_batch(vec![packet_to(9, [10, 0, 0, 5])])
@@ -4029,15 +4012,17 @@ mod tests {
         runtime
             .submit(&vec![packet_to(9, [10, 0, 0, 5]); 32])
             .unwrap();
-        let epoch = runtime.install_rules_async(
-            ModuleId::new(9),
-            0,
-            &[TableRule::Lpm(LpmMatchRule {
-                prefix: 0x0a00_0000,
-                prefix_len: 24,
-                action: 1,
-            })],
-        );
+        let epoch = runtime
+            .install_rules_async(
+                ModuleId::new(9),
+                0,
+                &[TableRule::Lpm(LpmMatchRule {
+                    prefix: 0x0a00_0000,
+                    prefix_len: 24,
+                    action: 1,
+                })],
+            )
+            .unwrap();
         runtime
             .submit(&vec![packet_to(9, [10, 1, 0, 5]); 64])
             .unwrap();

@@ -596,8 +596,8 @@ impl Shared {
 /// Later ops still run after a failure so replicas cannot diverge on which
 /// prefix of the entry they applied. The per-shard ops (snapshot, state
 /// export/inject, retirement) are resolved here, where the shard index is
-/// known; `ControlOp::apply` treats them as no-ops so configuration replicas
-/// replayed from the log stay config-only.
+/// known; `ControlOp::apply` treats them as no-ops so the runtime's
+/// configuration replica stays config-only.
 pub(crate) fn apply_entry(
     shared: &Shared,
     shard_index: usize,

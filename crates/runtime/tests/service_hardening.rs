@@ -87,9 +87,11 @@ fn configured_control_timeout_applies_to_wait_for_epoch() {
     // A published epoch resolves comfortably inside a sane deadline, so the
     // timeout is inert on the healthy path.
     runtime.set_control_timeout(Some(Duration::from_secs(10)));
-    let epoch = runtime.publish(Vec::new());
     runtime
-        .wait_for_epoch(epoch)
+        .set_default_port(7)
+        .expect("a control op completes inside the deadline");
+    runtime
+        .wait_for_epoch(runtime.current_epoch())
         .expect("live shards apply published epochs");
 }
 
@@ -99,10 +101,10 @@ fn epoch_timeout_is_a_liveness_report_not_a_rollback() {
     let err = runtime.wait_for_epoch_deadline(3, Some(Duration::from_millis(20)));
     assert!(matches!(err, Err(RuntimeError::EpochTimeout { .. })));
     // Publishing up to that epoch afterwards converges normally.
-    runtime.publish(Vec::new());
-    runtime.publish(Vec::new());
-    let epoch = runtime.publish(Vec::new());
-    assert_eq!(epoch, 3);
+    for port in 1..=3 {
+        runtime.set_default_port(port).expect("control op");
+    }
+    assert_eq!(runtime.current_epoch(), 3);
     runtime
         .wait_for_epoch_deadline(3, Some(Duration::from_secs(10)))
         .expect("the once-timed-out epoch eventually applies");
@@ -153,11 +155,20 @@ fn control_after_shutdown_errors_instead_of_hanging() {
     runtime.set_control_timeout(Some(Duration::from_secs(5)));
     runtime.shutdown();
     let err = runtime
-        .install_rules(menshen_core::ModuleId::new(1), 0, &[])
+        .set_default_port(7)
         .expect_err("control ops on a dead plane must fail");
     assert!(
         matches!(err, RuntimeError::ShardDown { .. }),
         "expected ShardDown, got {err:?}"
+    );
+    // An op the configuration refuses is refused before anything is
+    // published, dead plane or not.
+    let err = runtime
+        .install_rules(menshen_core::ModuleId::new(1), 0, &[])
+        .expect_err("no module 1 is loaded");
+    assert!(
+        matches!(err, RuntimeError::Rejected(_)),
+        "expected Rejected, got {err:?}"
     );
 }
 

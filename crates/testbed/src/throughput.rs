@@ -8,7 +8,7 @@
 //! break the figure.
 
 use crate::traffic::TrafficGenerator;
-use menshen_core::{MenshenPipeline, ModuleConfig, ModuleId, Verdict, BURST_SIZE};
+use menshen_core::{MenshenPipeline, ModuleConfig, ModuleId, BURST_SIZE};
 use menshen_rmt::clock::PlatformTiming;
 use menshen_rmt::params::PipelineParams;
 
@@ -107,25 +107,6 @@ pub fn passthrough_module(module_id: u16) -> ModuleConfig {
         "passthrough",
         PipelineParams::default().num_stages,
     )
-}
-
-/// Measures how many of `packets` the pipeline forwards (helper shared by the
-/// behaviour-isolation experiments and the benches). Routes the packets
-/// through the batched data path in [`BURST_SIZE`] bursts.
-pub fn forwarded_count(
-    pipeline: &mut MenshenPipeline,
-    packets: Vec<menshen_packet::Packet>,
-) -> usize {
-    let mut verdicts = Vec::new();
-    let mut forwarded = 0;
-    for burst in packets.chunks(BURST_SIZE) {
-        pipeline.process_batch_into(burst, &mut verdicts);
-        forwarded += verdicts
-            .iter()
-            .filter(|v| matches!(v, Verdict::Forwarded { .. }))
-            .count();
-    }
-    forwarded
 }
 
 #[cfg(test)]

@@ -91,14 +91,6 @@ impl ReplayReport {
         }
     }
 
-    /// One tenant's SLO view for this run, if it saw any packets.
-    pub fn tenant_view(&self, tenant: u16) -> Option<&TenantTelemetry> {
-        self.tenants
-            .iter()
-            .find(|(id, _)| *id == tenant)
-            .map(|(_, view)| view)
-    }
-
     /// Load-imbalance skew: most-loaded shard over the mean shard load
     /// (1.0 = perfectly balanced).
     pub fn shard_skew(&self) -> f64 {

@@ -109,7 +109,9 @@ fn main() {
     let patch = compiled
         .lpm_rule("routes", 0x0a01_0200, 24, "to_peering") // 10.1.2.0/24
         .unwrap();
-    let epoch = runtime.install_rules_async(module, routes_stage, &[patch]);
+    let epoch = runtime
+        .install_rules_async(module, routes_stage, &[patch])
+        .expect("the table takes the /24");
     runtime.wait_for_epoch(epoch).expect("shards apply");
     assert!(runtime.epoch_error(epoch).is_none());
 
@@ -117,8 +119,8 @@ fn main() {
     send(&mut runtime, [10, 1, 2, 3], 8080); // /24 now wins -> to_peering
     send(&mut runtime, [10, 1, 9, 9], 8080); // /16 still    -> to_core
 
-    // Price the layouts: the standby replica (reconstructed from the same
-    // control log the shards applied) exposes both tables.
+    // Price the layouts: the standby replica (the configuration every
+    // shard runs) exposes both tables.
     let standby = runtime.standby_replica();
     let lpm = MatchMemoryModel::lpm(standby.lpm_table(module, routes_stage).unwrap());
     let range = MatchMemoryModel::range(standby.range_table(module, acl_stage).unwrap());

@@ -10,6 +10,8 @@ use menshen_programs::{
 };
 use menshen_rmt::config::ParseAction;
 use menshen_rmt::phv::ContainerRef as C;
+use menshen_rmt::{AluInstruction, KeyExtractEntry, KeyMask, MatchKind, ParserEntry};
+use menshen_rmt::{RmtError, VliwAction};
 use menshen_runtime::RuntimeError;
 
 /// Loads the given programs, interleaves their workloads and checks every
@@ -213,4 +215,278 @@ fn a_deparser_writing_the_vlan_tag_is_refused_on_every_load_path() {
     }
     let mut pipeline = MenshenPipeline::new(TABLE5);
     pipeline.load_module(&flow_rule_tenant(1, 16)).unwrap();
+}
+
+/// A flat-table tenant on stage 0: its two shared actions rewrite the UDP
+/// destination port to 1111 or 2222. `kind` is LPM on the destination IP
+/// or range on the UDP destination port; the rule lists start as given.
+fn flat_tenant(
+    module_id: u16,
+    kind: MatchKind,
+    lpm_rules: Vec<LpmMatchRule>,
+    range_rules: Vec<RangeMatchRule>,
+) -> ModuleConfig {
+    let mut config = ModuleConfig::empty(
+        ModuleId::new(module_id),
+        format!("flat{module_id}"),
+        TABLE5.num_stages,
+    );
+    config.parser = ParserEntry::new(vec![
+        ParseAction::new(34, C::h4(1)).unwrap(),
+        ParseAction::new(40, C::h2(0)).unwrap(),
+    ])
+    .unwrap();
+    config.deparser = ParserEntry::new(vec![ParseAction::new(40, C::h2(0)).unwrap()]).unwrap();
+    let lpm = matches!(kind, MatchKind::Lpm { .. });
+    config.stages[0] = StageModuleConfig {
+        key_extract: Some(KeyExtractEntry {
+            slots_4b: [1, 0],
+            ..Default::default()
+        }),
+        key_mask: Some(KeyMask::for_slots(
+            [false, false, lpm, false, !lpm, false],
+            false,
+        )),
+        match_kind: kind,
+        table_actions: vec![
+            VliwAction::nop().with(C::h2(0), AluInstruction::set(1111)),
+            VliwAction::nop().with(C::h2(0), AluInstruction::set(2222)),
+        ],
+        lpm_rules,
+        range_rules,
+        ..Default::default()
+    };
+    config
+}
+
+fn lpm_tenant(module_id: u16, rules: Vec<LpmMatchRule>) -> ModuleConfig {
+    flat_tenant(
+        module_id,
+        MatchKind::Lpm { key_offset: 12 },
+        rules,
+        Vec::new(),
+    )
+}
+
+fn range_tenant(module_id: u16, rules: Vec<RangeMatchRule>) -> ModuleConfig {
+    let kind = MatchKind::Range {
+        key_offset: 20,
+        key_width: 2,
+    };
+    flat_tenant(module_id, kind, Vec::new(), rules)
+}
+
+fn prefix(prefix: u32, prefix_len: u8, action: u16) -> LpmMatchRule {
+    LpmMatchRule {
+        prefix,
+        prefix_len,
+        action,
+    }
+}
+
+/// 10.0.0.0/8 → port 1111.
+fn slash8() -> LpmMatchRule {
+    prefix(0x0a00_0000, 8, 0)
+}
+
+/// A range rule whose bounds are reversed.
+fn reversed_range() -> RangeMatchRule {
+    RangeMatchRule {
+        lo: 100,
+        hi: 99,
+        priority: 1,
+        action: 0,
+    }
+}
+
+/// The UDP destination port a verdict forwards with, if forwarded.
+fn forwarded_port(verdict: &Verdict) -> Option<u16> {
+    verdict.packet().and_then(|p| p.udp_dst_port())
+}
+
+fn packet_to(module: u16, dst: [u8; 4]) -> Packet {
+    PacketBuilder::udp_data(module, [10, 0, 0, 1], dst, 5000, 80, &[0u8; 8])
+}
+
+/// A flat-table rule the table would refuse — an LPM prefix longer than 32
+/// bits, a range with `lo > hi` — fails the static checks, so the load is
+/// refused before it takes a slot: the module ID stays free and no slot
+/// leaks.
+#[test]
+fn a_flat_rule_the_table_refuses_is_refused_before_the_load_takes_a_slot() {
+    for refused in [
+        lpm_tenant(9, vec![prefix(0x0a00_0000, 33, 0)]),
+        range_tenant(9, vec![reversed_range()]),
+    ] {
+        let mut pipeline = MenshenPipeline::new(TABLE5);
+        let refusal = pipeline.check_module_config(&refused).unwrap_err();
+        assert!(matches!(refusal, CoreError::CheckFailed(_)), "{refusal:?}");
+        assert_eq!(pipeline.load_module(&refused).unwrap_err(), refusal);
+        assert!(pipeline.loaded_modules().is_empty());
+        assert_eq!(pipeline.free_slots(), TABLE5.overlay_depth);
+
+        // The module ID is free: the correct program loads and forwards.
+        pipeline
+            .load_module(&lpm_tenant(9, vec![slash8()]))
+            .unwrap();
+        let verdict = pipeline.process(packet_to(9, [10, 0, 0, 5]));
+        assert_eq!(forwarded_port(&verdict), Some(1111));
+        // And every other slot still takes a module.
+        for module in 100..100 + TABLE5.overlay_depth as u16 - 1 {
+            let empty = ModuleConfig::empty(ModuleId::new(module), "empty", TABLE5.num_stages);
+            pipeline.load_module(&empty).unwrap();
+        }
+        assert_eq!(pipeline.free_slots(), 0);
+    }
+}
+
+/// An update to such a program is refused before the running one is
+/// unloaded: the module keeps forwarding and can still be unloaded.
+#[test]
+fn an_update_to_a_flat_rule_the_table_refuses_keeps_the_running_module() {
+    let mut pipeline = MenshenPipeline::new(TABLE5);
+    pipeline
+        .load_module(&lpm_tenant(9, vec![slash8()]))
+        .unwrap();
+    for refused in [
+        lpm_tenant(9, vec![slash8(), prefix(0x0a00_0000, 33, 1)]),
+        range_tenant(9, vec![reversed_range()]),
+    ] {
+        assert!(matches!(
+            pipeline.update_module(&refused),
+            Err(CoreError::CheckFailed(_))
+        ));
+        assert_eq!(pipeline.loaded_modules(), vec![ModuleId::new(9)]);
+        let verdict = pipeline.process(packet_to(9, [10, 0, 0, 5]));
+        assert_eq!(forwarded_port(&verdict), Some(1111));
+    }
+    pipeline.unload_module(ModuleId::new(9)).unwrap();
+    assert!(pipeline.loaded_modules().is_empty());
+}
+
+/// `install_rules` is all or nothing: a batch with one rule the table
+/// refuses — prefix length, action index, table kind, range bounds, room —
+/// installs none of its rules, not even the valid ones before the bad one.
+#[test]
+fn a_rule_batch_the_table_refuses_installs_nothing() {
+    let lpm = ModuleId::new(9);
+    let range = ModuleId::new(10);
+    let small = ModuleId::new(11);
+    let mut pipeline = MenshenPipeline::new(TABLE5);
+    pipeline.load_module(&lpm_tenant(9, Vec::new())).unwrap();
+    pipeline.load_module(&range_tenant(10, Vec::new())).unwrap();
+    let mut two_prefixes = lpm_tenant(11, Vec::new());
+    two_prefixes.stages[0].table_capacity = 2;
+    pipeline.load_module(&two_prefixes).unwrap();
+    let valid_range = RangeMatchRule {
+        lo: 0,
+        hi: 99,
+        priority: 1,
+        action: 0,
+    };
+    let before = pipeline.filter().reconfig_counter();
+    for (module, batch, refusal) in [
+        (
+            lpm,
+            vec![TableRule::Lpm(slash8()), TableRule::Lpm(prefix(0, 40, 0))],
+            CoreError::Rmt(RmtError::FieldOverflow {
+                field: "LPM prefix length",
+            }),
+        ),
+        (
+            lpm,
+            vec![TableRule::Lpm(slash8()), TableRule::Lpm(prefix(0, 16, 2))],
+            CoreError::BadReconfigPacket(
+                "flat-table rule action index outside the module's partitioned range",
+            ),
+        ),
+        (
+            lpm,
+            vec![TableRule::Lpm(slash8()), TableRule::Range(valid_range)],
+            CoreError::BadReconfigPacket(
+                "flat-table rule for a module slot without a table of its kind",
+            ),
+        ),
+        (
+            range,
+            vec![
+                TableRule::Range(valid_range),
+                TableRule::Range(reversed_range()),
+            ],
+            CoreError::Rmt(RmtError::FieldOverflow {
+                field: "range rule bounds (lo > hi)",
+            }),
+        ),
+        (
+            small,
+            [8, 16, 24]
+                .map(|len| TableRule::Lpm(prefix(0x0a00_0000, len, 0)))
+                .to_vec(),
+            CoreError::Rmt(RmtError::TableFull { table: "LPM table" }),
+        ),
+    ] {
+        assert_eq!(
+            pipeline.install_rules(module, 0, &batch),
+            Err(refusal),
+            "{module}"
+        );
+    }
+    assert_eq!(pipeline.lpm_table(lpm, 0).unwrap().len(), 0);
+    assert_eq!(pipeline.range_table(range, 0).unwrap().len(), 0);
+    assert_eq!(pipeline.lpm_table(small, 0).unwrap().len(), 0);
+    assert_eq!(pipeline.filter().reconfig_counter(), before);
+    let verdict = pipeline.process(packet_to(9, [10, 0, 0, 5]));
+    assert_eq!(forwarded_port(&verdict), Some(80), "no /8 was left behind");
+
+    // Room counts distinct prefixes: two spellings of one /8 and a /16 fit
+    // a table of two.
+    let batch = [prefix(0x0a00_0000, 8, 0), prefix(0x0aff_0000, 8, 1)]
+        .into_iter()
+        .chain([prefix(0x0a01_0000, 16, 1)])
+        .map(TableRule::Lpm)
+        .collect::<Vec<_>>();
+    assert_eq!(pipeline.install_rules(small, 0, &batch), Ok(3));
+    assert_eq!(pipeline.lpm_table(small, 0).unwrap().len(), 2);
+}
+
+/// The sharded runtime refuses the same load, update and rule batch before
+/// publishing anything, and every replica keeps running the module.
+#[test]
+fn the_runtime_refuses_a_flat_rule_the_table_refuses_before_publishing() {
+    let refused = lpm_tenant(9, vec![prefix(0x0a00_0000, 33, 0)]);
+    let refusal = MenshenPipeline::new(TABLE5)
+        .check_module_config(&refused)
+        .unwrap_err();
+    let mut runtime = ShardedRuntime::new(TABLE5, RuntimeOptions::deterministic(2));
+    assert_eq!(
+        runtime.load_module(&refused),
+        Err(RuntimeError::Rejected(refusal.clone()))
+    );
+    assert_eq!(runtime.current_epoch(), 0, "no epoch was published");
+    assert!(runtime.standby_replica().loaded_modules().is_empty());
+
+    runtime.load_module(&lpm_tenant(9, vec![slash8()])).unwrap();
+    let epoch = runtime.current_epoch();
+    assert_eq!(
+        runtime.update_module(&refused),
+        Err(RuntimeError::Rejected(refusal))
+    );
+    let batch = [slash8(), prefix(0, 40, 0)].map(TableRule::Lpm);
+    assert!(matches!(
+        runtime.install_rules(ModuleId::new(9), 0, &batch),
+        Err(RuntimeError::Rejected(CoreError::Rmt(
+            RmtError::FieldOverflow { .. }
+        )))
+    ));
+    assert_eq!(runtime.current_epoch(), epoch, "no epoch was published");
+    for shard in 0..runtime.shard_count() {
+        let replica = runtime.shard_pipeline(shard).unwrap();
+        assert_eq!(replica.loaded_modules(), vec![ModuleId::new(9)]);
+        assert_eq!(replica.lpm_table(ModuleId::new(9), 0).unwrap().len(), 1);
+    }
+    let verdicts = runtime
+        .process_batch(vec![packet_to(9, [10, 0, 0, 5])])
+        .unwrap();
+    assert_eq!(forwarded_port(&verdicts[0]), Some(1111));
+    runtime.unload_module(ModuleId::new(9)).unwrap();
 }

@@ -9,7 +9,9 @@ use menshen_core::SegmentEntry;
 use menshen_programs::{calc::Calc, firewall::Firewall, qos::Qos};
 use menshen_rmt::action::AluInstruction;
 use menshen_rmt::phv::ContainerRef as C;
-use menshen_runtime::RuntimeError;
+use menshen_runtime::{ExecutionMode, RuntimeError};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 #[test]
 fn updating_one_module_never_disturbs_another() {
@@ -331,13 +333,17 @@ fn rejected_update_for_capacity_keeps_the_running_module() {
     let counters = runtime.aggregated_counters().unwrap();
     let word = runtime.read_stateful_aggregate(module, 0, 0);
     for (index, refused) in updates_refused_for_capacity().iter().enumerate() {
+        let epoch = runtime.current_epoch();
         assert!(
             matches!(
                 runtime.update_module(refused),
-                Err(RuntimeError::Control { .. })
+                Err(RuntimeError::Rejected(
+                    CoreError::InsufficientResource { .. }
+                ))
             ),
             "update {index}"
         );
+        assert_eq!(runtime.current_epoch(), epoch, "update {index}: no epoch");
         for shard in 0..runtime.shard_count() {
             let replica = runtime.shard_pipeline(shard).unwrap();
             assert_eq!(
@@ -360,4 +366,144 @@ fn rejected_update_for_capacity_keeps_the_running_module() {
     }
     let verdicts = runtime.process_batch(crowded_traffic()).unwrap();
     assert_eq!(rewritten_ports(&verdicts), ports);
+}
+
+/// Flow rules per tenant in the replication scenario.
+const SCR_FLOWS: usize = 4;
+
+/// The storing (non-mergeable) tenant of the replication scenario: the
+/// flow-rule shape with `flows` rules, each also storing the dst-IP
+/// container into stateful word 2, so it runs replicated under 5-tuple
+/// steering.
+fn storing_tenant(module_id: u16, flows: usize) -> ModuleConfig {
+    let mut storing = flow_rule_tenant_with_port(module_id, flows, 1000 + module_id);
+    for rule in &mut storing.stages[0].rules {
+        rule.action = rule
+            .action
+            .clone()
+            .with(C::h4(3), AluInstruction::store(C::h4(1), 2));
+    }
+    storing
+}
+
+/// One burst of 48 hits over tenants 1–6, with random source addresses and
+/// ports so the 5-tuple hash spreads every tenant over the shards.
+fn scr_burst(rng: &mut StdRng) -> Vec<Packet> {
+    (0..48)
+        .map(|_| {
+            let module = rng.gen_range(1..=6u16);
+            let ip = flow_dst_ip(module, rng.gen_range(0..SCR_FLOWS)) as u32;
+            PacketBuilder::udp_data(
+                module,
+                [10, 0, 0, rng.gen_range(1..250u8)],
+                ip.to_be_bytes(),
+                rng.gen_range(1024..65000u16),
+                80,
+                &[0u8; 8],
+            )
+        })
+        .collect()
+}
+
+/// A control op the pipeline refuses.
+enum Refused {
+    Load(ModuleConfig),
+    Update(ModuleConfig),
+}
+
+/// Loads the storing tenant 1 and tenants 2–6 on a lone pipeline and on a
+/// 5-tuple runtime (on `TABLE5.with_table_depth(64)`, so 40 CAM entries
+/// stay free), then issues `op` to both. The runtime must refuse it with
+/// the lone pipeline's error and publish nothing, must keep replicating
+/// exactly tenant 1, and after 12 random bursts every replica must hold
+/// tenant 1's stateful words exactly as the lone pipeline does.
+fn refused_op_changes_nothing(op: Refused, seed: u64) {
+    let params = TABLE5.with_table_depth(64);
+    for options in [
+        RuntimeOptions::deterministic(4),
+        RuntimeOptions::threaded(2),
+    ] {
+        let options = options.with_steering(SteeringMode::FiveTuple);
+        let mut single = MenshenPipeline::new(params);
+        let mut sharded = ShardedRuntime::new(params, options);
+        let tenants = std::iter::once(storing_tenant(1, SCR_FLOWS)).chain(
+            (2..=6).map(|module| flow_rule_tenant_with_port(module, SCR_FLOWS, 1000 + module)),
+        );
+        for config in tenants {
+            single.load_module(&config).unwrap();
+            sharded.load_module(&config).unwrap();
+        }
+        assert_eq!(sharded.replicated_modules(), vec![1]);
+
+        let epoch = sharded.current_epoch();
+        let (lone, runtime) = match &op {
+            Refused::Load(config) => (
+                single.load_module(config).map(|_| ()),
+                sharded.load_module(config),
+            ),
+            Refused::Update(config) => (
+                single.update_module(config).map(|_| ()),
+                sharded.update_module(config),
+            ),
+        };
+        let refusal = lone.expect_err("the lone pipeline refuses the op");
+        assert_eq!(runtime, Err(RuntimeError::Rejected(refusal)), "{options:?}");
+        assert_eq!(sharded.current_epoch(), epoch, "{options:?}: no epoch");
+        assert_eq!(sharded.replicated_modules(), vec![1], "{options:?}");
+
+        let mut rng = StdRng::seed_from_u64(seed);
+        for _ in 0..12 {
+            let burst = scr_burst(&mut rng);
+            single.process_batch(burst.clone());
+            if sharded.mode() == ExecutionMode::Deterministic {
+                sharded.process_batch(burst).unwrap();
+            } else {
+                sharded.submit(&burst).unwrap();
+            }
+        }
+        sharded.flush();
+        let words = single.export_module_state(ModuleId::new(1)).unwrap().stages;
+        assert!(
+            words[0].iter().any(|&word| word != 0),
+            "tenant 1 saw traffic"
+        );
+        for shard in 0..sharded.shard_count() {
+            let states = sharded
+                .export_shard_state(shard, &[ModuleId::new(1)])
+                .unwrap();
+            assert_eq!(states.len(), 1, "{options:?}: shard {shard}");
+            assert_eq!(
+                states[0].stages, words,
+                "{options:?}: replica {shard} diverged"
+            );
+        }
+        sharded.shutdown();
+    }
+}
+
+/// An update of the storing tenant to a 60-rule mergeable program cannot fit
+/// even with its own 4 entries released. It must not un-replicate tenant 1.
+#[test]
+fn refused_update_keeps_replication_and_replicas_equal() {
+    refused_op_changes_nothing(
+        Refused::Update(flow_rule_tenant_with_port(1, 60, 1001)),
+        0x5C2_0A01,
+    );
+}
+
+/// A second load of module 1 (as a mergeable program) is a duplicate ID. It
+/// must not un-replicate the running storing tenant.
+#[test]
+fn refused_duplicate_load_keeps_replication_and_replicas_equal() {
+    refused_op_changes_nothing(
+        Refused::Load(flow_rule_tenant_with_port(1, SCR_FLOWS, 9999)),
+        0x5C2_0A02,
+    );
+}
+
+/// A storing module 7 with 60 rules does not fit in the 40 free entries. It
+/// must not join the replicated set.
+#[test]
+fn refused_storing_load_stays_out_of_replication_and_replicas_equal() {
+    refused_op_changes_nothing(Refused::Load(storing_tenant(7, 60)), 0x5C2_0A03);
 }

@@ -80,7 +80,9 @@ fn the_sharing_policy_holds_on_every_runtime_load_path() {
     ] {
         let mut runtime = ShardedRuntime::from_pipeline(&template, options);
         assert_eq!(runtime.standby_replica().sharing_policy(), policy);
+        runtime.load_module(&synthetic_module(2, 4, 0)).unwrap();
         let epoch = runtime.current_epoch();
+        assert_eq!(epoch, 1);
         assert!(matches!(
             runtime.load_module(&synthetic_module(1, 5, 0)),
             Err(RuntimeError::Rejected(CoreError::AllocationExceeded {
@@ -90,13 +92,12 @@ fn the_sharing_policy_holds_on_every_runtime_load_path() {
             }))
         ));
         assert_eq!(runtime.current_epoch(), epoch, "no epoch was published");
+        // An update of the running module is held to the same share.
         assert!(matches!(
-            runtime.update_module(&synthetic_module(1, 5, 0)),
+            runtime.update_module(&synthetic_module(2, 5, 0)),
             Err(RuntimeError::Rejected(CoreError::AllocationExceeded { .. }))
         ));
         assert_eq!(runtime.current_epoch(), epoch, "no epoch was published");
-        runtime.load_module(&synthetic_module(2, 4, 0)).unwrap();
-        assert!(runtime.current_epoch() > epoch);
         assert_eq!(runtime.standby_replica().sharing_policy(), policy);
         assert_eq!(
             runtime.standby_replica().loaded_modules(),
