@@ -76,9 +76,6 @@ use std::collections::HashMap;
 /// testbed and benchmarks use when they chop a packet stream into bursts.
 pub const BURST_SIZE: usize = 32;
 
-/// A flat-table rule whose kind the module's stage has no table for.
-const NO_SUCH_TABLE: &str = "flat-table rule for a module slot without a table of its kind";
-
 /// Bytes 12–15 of a tagged frame: the VLAN TPID and TCI. The VID in the TCI
 /// is the packet's module ID, so no module's deparser may write any of them.
 const VLAN_TAG_BYTES: std::ops::Range<usize> = 12..16;
@@ -965,46 +962,44 @@ impl MenshenPipeline {
             }
         }
         let flat_rules = stage_cfg.lpm_rules.len() + stage_cfg.range_rules.len();
-        if flat_rules > 0 && stage_cfg.table_actions.is_empty() {
-            return fail("flat-table rules reference an empty action list".into());
-        }
         let capacity = Self::table_capacity(stage_cfg.table_capacity);
         if flat_rules > capacity {
             return fail(format!(
                 "{flat_rules} rules exceed the table capacity of {capacity}"
             ));
         }
-        for rule in &stage_cfg.lpm_rules {
-            if rule.prefix_len > 32 {
-                return fail(format!(
-                    "LPM rule prefix length {} exceeds 32",
-                    rule.prefix_len
-                ));
-            }
-            if usize::from(rule.action) >= stage_cfg.table_actions.len() {
-                return fail(format!(
-                    "LPM rule references action {} of {}",
-                    rule.action,
-                    stage_cfg.table_actions.len()
-                ));
-            }
-        }
-        for rule in &stage_cfg.range_rules {
-            if rule.lo > rule.hi {
-                return fail(format!(
-                    "range rule bounds {}..={} are reversed",
-                    rule.lo, rule.hi
-                ));
-            }
-            if usize::from(rule.action) >= stage_cfg.table_actions.len() {
-                return fail(format!(
-                    "range rule references action {} of {}",
-                    rule.action,
-                    stage_cfg.table_actions.len()
-                ));
+        let lpm = stage_cfg.lpm_rules.iter().copied().map(TableRule::Lpm);
+        let range = stage_cfg.range_rules.iter().copied().map(TableRule::Range);
+        for rule in lpm.chain(range) {
+            if let Err(err) = Self::check_flat_rule(&rule, stage_cfg.table_actions.len()) {
+                return fail(format!("{rule:?}: {err}"));
             }
         }
         Ok(())
+    }
+
+    /// Checks one flat-table rule against the `actions` its module has in
+    /// the stage, with the errors installing it would give: the action index
+    /// must fall in the module's range (as [`rebase_action`] demands) and the
+    /// prefix length or bounds must be ones the table takes. Shared by the
+    /// static checks of a load and the batch check of `install_rules`.
+    ///
+    /// [`rebase_action`]: Self::rebase_action
+    fn check_flat_rule(rule: &TableRule, actions: usize) -> Result<()> {
+        let action = match rule {
+            TableRule::Lpm(r) => r.action,
+            TableRule::Range(r) => r.action,
+        };
+        if usize::from(action) >= actions {
+            return Err(CoreError::BadReconfigPacket(
+                "flat-table rule action index outside the module's partitioned range",
+            ));
+        }
+        match rule {
+            TableRule::Lpm(r) => LpmTable::check_prefix_len(r.prefix_len),
+            TableRule::Range(r) => RangeTable::check_bounds(r.lo, r.hi),
+        }
+        .map_err(CoreError::Rmt)
     }
 
     /// Updates an already-loaded module with a new configuration. The module's
@@ -1269,25 +1264,12 @@ impl MenshenPipeline {
         let slot = self.module_slot(module).ok_or(CoreError::UnknownModule {
             module_id: module.value(),
         })?;
-        let base = self.check_rules(module, stage, slot, rules)?;
-        let stage = &mut self.stages[stage];
+        self.check_rules(module, stage, slot, rules)?;
         for rule in rules {
-            // `check_rules` vetted the batch, so the insert rebases the
-            // module-local action index onto `base` directly instead of
-            // looking the range up again per rule as `install_lpm_rule` does.
-            let inserted = match (rule, &mut stage.lpm[slot], &mut stage.range[slot]) {
-                (TableRule::Lpm(r), Some(table), _) => {
-                    table.insert(r.prefix, r.prefix_len, base + u32::from(r.action))
-                }
-                (TableRule::Range(r), _, Some(table)) => table.insert(RangeRule {
-                    lo: r.lo,
-                    hi: r.hi,
-                    priority: r.priority,
-                    action: base + u32::from(r.action),
-                }),
-                _ => return Err(CoreError::BadReconfigPacket(NO_SUCH_TABLE)),
-            };
-            inserted.map_err(CoreError::Rmt)?;
+            match rule {
+                TableRule::Lpm(rule) => self.install_lpm_rule(stage, slot, rule)?,
+                TableRule::Range(rule) => self.install_range_rule(stage, slot, rule)?,
+            }
             self.filter.count_reconfig_packet();
         }
         Ok(rules.len())
@@ -1295,14 +1277,13 @@ impl MenshenPipeline {
 
     /// Everything [`install_rules`](Self::install_rules) could refuse
     /// part-way, decided for the whole batch before any rule is written.
-    /// Returns the first index of the module's action range in the stage.
     fn check_rules(
         &self,
         module: ModuleId,
         stage_idx: usize,
         slot: usize,
         rules: &[TableRule],
-    ) -> Result<u32> {
+    ) -> Result<()> {
         let stage =
             self.stages
                 .get(stage_idx)
@@ -1311,31 +1292,19 @@ impl MenshenPipeline {
                     index: stage_idx,
                     depth: self.stages.len(),
                 }))?;
-        let actions = stage.cam_alloc.allocation(module);
+        let actions = stage.cam_alloc.allocation(module).map_or(0, |a| a.len);
         let (lpm, range) = (stage.lpm[slot].as_ref(), stage.range[slot].as_ref());
         for rule in rules {
-            let (present, overflow, action) = match rule {
-                TableRule::Lpm(r) => {
-                    let long = r.prefix_len > 32;
-                    (lpm.is_some(), long.then_some("LPM prefix length"), r.action)
-                }
-                TableRule::Range(r) => {
-                    let reversed = r.lo > r.hi;
-                    let field = "range rule bounds (lo > hi)";
-                    (range.is_some(), reversed.then_some(field), r.action)
-                }
+            let present = match rule {
+                TableRule::Lpm(_) => lpm.is_some(),
+                TableRule::Range(_) => range.is_some(),
             };
             if !present {
-                return Err(CoreError::BadReconfigPacket(NO_SUCH_TABLE));
-            }
-            if let Some(field) = overflow {
-                return Err(CoreError::Rmt(RmtError::FieldOverflow { field }));
-            }
-            if actions.is_none_or(|a| usize::from(action) >= a.len) {
                 return Err(CoreError::BadReconfigPacket(
-                    "flat-table rule action index outside the module's partitioned range",
+                    "flat-table rule for a module slot without a table of its kind",
                 ));
             }
+            Self::check_flat_rule(rule, actions)?;
         }
         // Room: every range rule takes an entry; an LPM rule takes one only
         // for a prefix neither installed nor earlier in the batch. Counting
@@ -1359,7 +1328,7 @@ impl MenshenPipeline {
                 return full("LPM table");
             }
         }
-        Ok(actions.map_or(0, |a| a.start as u32))
+        Ok(())
     }
 
     /// Read access to a loaded module's LPM table in `stage`, if it has one.

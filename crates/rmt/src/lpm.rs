@@ -167,16 +167,23 @@ impl LpmTable {
             .contains_key(&(Self::canonical(prefix, prefix_len), prefix_len))
     }
 
-    /// Installs `prefix/prefix_len → action`. Re-installing an existing
-    /// prefix updates its action in place. Incremental: readers between any
-    /// two inserts see a consistent LPM table containing every rule inserted
-    /// so far.
-    pub fn insert(&mut self, prefix: u32, prefix_len: u8, action: u32) -> Result<()> {
+    /// Refuses a prefix length over 32 bits, as [`insert`](Self::insert)
+    /// does, so a caller can vet a rule before it writes anything.
+    pub fn check_prefix_len(prefix_len: u8) -> Result<()> {
         if prefix_len > 32 {
             return Err(RmtError::FieldOverflow {
                 field: "LPM prefix length",
             });
         }
+        Ok(())
+    }
+
+    /// Installs `prefix/prefix_len → action`. Re-installing an existing
+    /// prefix updates its action in place. Incremental: readers between any
+    /// two inserts see a consistent LPM table containing every rule inserted
+    /// so far.
+    pub fn insert(&mut self, prefix: u32, prefix_len: u8, action: u32) -> Result<()> {
+        Self::check_prefix_len(prefix_len)?;
         if action > LEAF_ACTION_MASK {
             return Err(RmtError::FieldOverflow {
                 field: "LPM action index",

@@ -123,15 +123,22 @@ impl RangeTable {
             + self.delta.capacity() * core::mem::size_of::<u32>()
     }
 
-    /// Installs a rule matching `lo..=hi`. O(1) amortised: appends to the
-    /// delta buffer and rebuilds the base layer only every `DELTA_LIMIT`
-    /// inserts. Readers are never blocked or left with a partial view.
-    pub fn insert(&mut self, rule: RangeRule) -> Result<()> {
-        if rule.lo > rule.hi {
+    /// Refuses reversed bounds (`lo > hi`), as [`insert`](Self::insert)
+    /// does, so a caller can vet a rule before it writes anything.
+    pub fn check_bounds(lo: u64, hi: u64) -> Result<()> {
+        if lo > hi {
             return Err(RmtError::FieldOverflow {
                 field: "range rule bounds (lo > hi)",
             });
         }
+        Ok(())
+    }
+
+    /// Installs a rule matching `lo..=hi`. O(1) amortised: appends to the
+    /// delta buffer and rebuilds the base layer only every `DELTA_LIMIT`
+    /// inserts. Readers are never blocked or left with a partial view.
+    pub fn insert(&mut self, rule: RangeRule) -> Result<()> {
+        Self::check_bounds(rule.lo, rule.hi)?;
         if self.rules.len() >= self.capacity {
             return Err(RmtError::TableFull {
                 table: "range table",

@@ -261,7 +261,7 @@ impl std::fmt::Display for RuntimeError {
             RuntimeError::InvalidResize { message } => {
                 write!(f, "invalid resize request: {message}")
             }
-            RuntimeError::Rejected(error) => write!(f, "module refused: {error}"),
+            RuntimeError::Rejected(error) => write!(f, "control op refused: {error}"),
             RuntimeError::EpochTimeout { epoch, waited } => {
                 write!(
                     f,
@@ -2649,8 +2649,10 @@ impl ShardedRuntime {
                                 });
                             }
                         }
-                        if let (false, Ok(epoch)) = (ops.is_empty(), self.publish(ops)) {
-                            let _ = self.wait_for_epoch(epoch);
+                        if !ops.is_empty() {
+                            if let Ok(epoch) = self.publish(ops) {
+                                let _ = self.wait_for_epoch(epoch);
+                            }
                         }
                     }
                 }

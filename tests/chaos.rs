@@ -658,6 +658,60 @@ fn a_replica_killed_mid_digest_stream_is_rebuilt_from_a_live_peer() {
     assert_conserved(&runtime.conservation_audit().unwrap());
 }
 
+/// A rebuild whose replicated module holds no state yet has nothing to
+/// reseed: recovery publishes the donor's snapshot export and nothing after
+/// it, so the epoch stays at the export's.
+#[test]
+fn a_rebuild_with_zero_replicated_state_publishes_only_the_export() {
+    let mut runtime = ShardedRuntime::from_pipeline(
+        &storing_template(),
+        RuntimeOptions::threaded(2)
+            .with_steering(SteeringMode::FiveTuple)
+            .with_submit_wait(Duration::from_millis(100))
+            .with_wedge_threshold(Duration::from_secs(30)),
+    );
+    assert_eq!(runtime.replicated_modules(), vec![1]);
+    // Only tenant 2 sends traffic: the storing tenant 1's words stay zero,
+    // and the one flow lands on one shard, which is killed.
+    runtime.submit_owned(tenant_frames(2, 32)).unwrap();
+    runtime.flush();
+    let victim = runtime
+        .shard_stats()
+        .iter()
+        .position(|s| s.packets > 0)
+        .expect("the flow landed on some shard");
+    let next_burst = runtime.shard_stats()[victim].bursts + 1;
+    let before = runtime.current_epoch();
+    runtime.arm_faults(FaultPlan::new().with_worker_panic(victim, next_burst));
+    let mut recovered = Vec::new();
+    for _ in 0..200 {
+        runtime.submit_owned(tenant_frames(2, 32)).unwrap();
+        recovered.extend(runtime.supervise());
+        if !recovered.is_empty() {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    runtime.disarm_faults();
+    assert_eq!(recovered.len(), 1, "exactly the scheduled casualty");
+    assert_eq!(recovered[0].shard, victim);
+    assert_eq!(
+        runtime.current_epoch(),
+        before + 1,
+        "the donor's export is the only epoch recovery published"
+    );
+    for shard in 0..runtime.shard_count() {
+        let state = runtime
+            .export_shard_state(shard, &[ModuleId::new(1)])
+            .unwrap()
+            .pop()
+            .unwrap_or_else(|| panic!("shard {shard} holds the replicated module"));
+        assert!(state.stages.iter().flatten().all(|&w| w == 0), "{shard}");
+    }
+    runtime.flush();
+    assert_conserved(&runtime.conservation_audit().unwrap());
+}
+
 /// Wire-level chaos: a seeded schedule of drops, duplicates, reorders and
 /// TPID corruption applied in front of the real UDP socket backend. The
 /// service's books balance against what actually arrived — a hostile wire
