@@ -877,7 +877,10 @@ impl MenshenPipeline {
     ///   allocator refuses what no longer fits.
     ///
     /// The paper's other two binary rules hold by construction: no ALU
-    /// opcode recirculates a packet or writes the system module's statistics.
+    /// opcode recirculates a packet or writes the system module's statistics
+    /// (the test `no_opcode_writes_the_system_fields` in
+    /// `menshen_rmt::action_engine` runs every opcode on every slot and
+    /// checks that the module ID and the system metadata never move).
     pub fn check_module_config(&self, config: &ModuleConfig) -> Result<()> {
         if config.stages.len() > self.params.num_stages {
             return Err(CoreError::Rmt(

@@ -129,6 +129,7 @@ pub fn execute(
 mod tests {
     use super::*;
     use crate::action::AluInstruction;
+    use crate::params::NUM_HEADER_CONTAINERS;
     use crate::phv::ContainerRef as C;
     use crate::stateful::IdentityTranslation;
 
@@ -230,6 +231,67 @@ mod tests {
         let outcome = execute(&VliwAction::nop(), &mut phv, &mut mem, &IdentityTranslation);
         assert_eq!(outcome.alus_fired, 0);
         assert_eq!(phv, before);
+    }
+
+    /// No opcode writes the system fields: decode every 4-bit code, run
+    /// each op on every slot (header ALUs and the metadata ALU at slot 24)
+    /// over a PHV whose system fields hold sentinels, and check that none
+    /// of them moved. Only `dst_port` and `discard` are the action's to
+    /// write.
+    #[test]
+    fn no_opcode_writes_the_system_fields() {
+        let system = |phv: &Phv| {
+            let m = &phv.metadata;
+            (
+                phv.module_id,
+                m.src_port,
+                m.pkt_len,
+                m.multicast_group,
+                m.queue_len,
+                m.enqueue_cycle,
+                m.buffer_tag,
+            )
+        };
+        let mut sentinel = Phv::zeroed();
+        sentinel.module_id = 0x0abc;
+        sentinel.metadata.src_port = 0x1234;
+        sentinel.metadata.pkt_len = 0x0555;
+        sentinel.metadata.multicast_group = 0x0777;
+        sentinel.metadata.queue_len = 0x00c0_ffee;
+        sentinel.metadata.enqueue_cycle = 0x0bad_cafe;
+        sentinel.metadata.buffer_tag = 0x40;
+        for slot in 0..NUM_HEADER_CONTAINERS {
+            sentinel.set(C::from_flat_index(slot).unwrap(), 0xffff_ffff_ffff);
+        }
+        let mut decoded = 0;
+        for code in 0..=15u8 {
+            let Ok(Some(op)) = AluOp::from_code(code) else {
+                continue;
+            };
+            decoded += 1;
+            let instr = AluInstruction {
+                op,
+                operand_a: Some(C::h4(0)),
+                operand_b: if op.uses_immediate() {
+                    Operand::Immediate(3)
+                } else {
+                    Operand::Container(C::h6(7))
+                },
+            };
+            for slot in 0..NUM_CONTAINERS {
+                let mut action = VliwAction::nop();
+                action.set_slot(slot, Some(instr)).unwrap();
+                let (_, mut mem) = setup();
+                let mut phv = sentinel.clone();
+                execute(&action, &mut phv, &mut mem, &IdentityTranslation);
+                assert_eq!(
+                    system(&phv),
+                    system(&sentinel),
+                    "{op} on slot {slot} wrote a system field"
+                );
+            }
+        }
+        assert_eq!(decoded, 10, "codes 1..=10 decode, 0 and 11..=15 do not");
     }
 
     #[test]

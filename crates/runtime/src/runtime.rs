@@ -35,7 +35,9 @@
 //! [`ExecutionMode::Deterministic`] keeps all replicas in-process and drains
 //! them round-robin inside `process_batch`, with control changes applied
 //! synchronously between bursts; it simulates the same dispatcher spray and
-//! per-(dispatcher, shard) burst grouping, so the sharded runtime is
+//! per-(dispatcher, shard) grouping, and each shard runs the same
+//! `ShardCore` (epoch catch-up and burst step) a threaded worker runs, so
+//! the sharded runtime is
 //! *exactly* testable against a single pipeline for any dispatcher × shard
 //! combination (same steering, same replica semantics, no scheduling
 //! nondeterminism). The `shard_equivalence` integration tests exploit this
@@ -49,9 +51,8 @@ use crate::faults::FaultPlan;
 use crate::ring::{ring, ring_with_parker, Consumer, Parker, Producer, PushError};
 use crate::rss::{Steerer, SteeringMode, RETA_SIZE};
 use crate::shard::{
-    apply_entry, process_shard_burst, run_dispatcher, run_worker, Burst, DispatcherUpdate,
-    EgressSink, RingDepth, ShardBurst, ShardProgress, ShardSnapshot, ShardStats, ShardTelemetry,
-    Shared,
+    run_dispatcher, run_worker, Burst, DispatcherUpdate, EgressSink, RingDepth, ShardBurst,
+    ShardCore, ShardProgress, ShardSnapshot, ShardStats, ShardTelemetry, Shared,
 };
 use menshen_core::TableRule;
 use menshen_core::{labels, MetricsSnapshot, StageProfile, TenantTelemetry, PROFILE_PHASES};
@@ -407,12 +408,6 @@ pub struct RecoveryReport {
     pub pause: Duration,
 }
 
-/// A deterministic-mode shard: the replica lives in the runtime itself.
-struct LocalShard {
-    pipeline: MenshenPipeline,
-    telemetry: ShardTelemetry,
-}
-
 /// A threaded-mode shard handle.
 struct Worker {
     /// The single input ring's producer in inline-dispatch mode; `None`
@@ -438,7 +433,7 @@ struct DispatcherHandle {
 }
 
 enum Backend {
-    Deterministic(Vec<LocalShard>),
+    Deterministic(Vec<ShardCore>),
     Threaded {
         workers: Vec<Worker>,
         dispatchers: Vec<DispatcherHandle>,
@@ -449,17 +444,15 @@ enum Backend {
 /// (dispatcher, or the single inline row), all sharing the shard's parker,
 /// and one return ring as deep as those input rings together (so it holds
 /// every burst that can be in flight towards the shard). Returns the handle
-/// plus the ring producers in row order. Used both at construction and when
-/// a live resize stands up additional shards — `initial_epoch` is the epoch
-/// the shard's pipeline already embodies.
+/// plus the ring producers in row order. Used at construction, when a live
+/// resize stands up additional shards and when recovery respawns one.
 fn spawn_worker(
     shared: &Arc<Shared>,
     options: &RuntimeOptions,
-    index: usize,
-    pipeline: MenshenPipeline,
+    core: ShardCore,
     rows: usize,
-    initial_epoch: u64,
 ) -> (Worker, Vec<Producer<ShardBurst>>) {
+    let index = core.index;
     let parker = Arc::new(Parker::new());
     let mut producers = Vec::with_capacity(rows);
     let mut consumers = Vec::with_capacity(rows);
@@ -473,17 +466,7 @@ fn spawn_worker(
     let worker_parker = Arc::clone(&parker);
     let handle = std::thread::Builder::new()
         .name(format!("menshen-shard-{index}"))
-        .spawn(move || {
-            run_worker(
-                index,
-                pipeline,
-                consumers,
-                home_tx,
-                worker_parker,
-                thread_shared,
-                initial_epoch,
-            )
-        })
+        .spawn(move || run_worker(core, consumers, home_tx, worker_parker, thread_shared))
         .expect("spawning a shard thread");
     (
         Worker {
@@ -672,8 +655,6 @@ pub struct ShardedRuntime {
     /// Emptied burst vectors that came home over the return rings, refilled
     /// by the threaded dispatch paths instead of allocating.
     spares: Vec<Burst>,
-    verdict_scratch: Vec<Verdict>,
-    interleave_scratch: Vec<Verdict>,
     reorder: Vec<Option<Verdict>>,
     /// State digests generated on this thread (deterministic simulation and
     /// inline threaded dispatch) — `menshen_runtime_digest_packets_total`
@@ -740,10 +721,7 @@ impl ShardedRuntime {
         let backend = match options.mode {
             ExecutionMode::Deterministic => Backend::Deterministic(
                 (0..options.shards)
-                    .map(|_| LocalShard {
-                        pipeline: template.config_replica(),
-                        telemetry: ShardTelemetry::default(),
-                    })
+                    .map(|index| ShardCore::new(index, template.config_replica(), 0))
                     .collect(),
             ),
             ExecutionMode::Threaded => {
@@ -756,8 +734,8 @@ impl ShardedRuntime {
                     .map(|_| Vec::with_capacity(options.shards))
                     .collect();
                 for index in 0..options.shards {
-                    let (worker, producers) =
-                        spawn_worker(&shared, &options, index, template.config_replica(), rows, 0);
+                    let core = ShardCore::new(index, template.config_replica(), 0);
+                    let (worker, producers) = spawn_worker(&shared, &options, core, rows);
                     for (row, producer) in producer_rows.iter_mut().zip(producers) {
                         row.push(producer);
                     }
@@ -811,8 +789,6 @@ impl ShardedRuntime {
             scatter_pos: vec![Vec::new(); groups],
             digest_scatter: vec![Vec::new(); groups],
             spares: Vec::new(),
-            verdict_scratch: Vec::new(),
-            interleave_scratch: Vec::new(),
             reorder: Vec::new(),
             digest_packets: 0,
             digest_bytes: 0,
@@ -923,25 +899,6 @@ impl ShardedRuntime {
             epoch: self.epoch,
             ops,
         };
-        match &mut self.backend {
-            Backend::Deterministic(shards) => {
-                for (index, shard) in shards.iter_mut().enumerate() {
-                    // `Retire` is acknowledged here; the resize control path
-                    // truncates the local-shard vector itself right after.
-                    apply_entry(
-                        &self.shared,
-                        index,
-                        &mut shard.pipeline,
-                        &entry,
-                        &shard.telemetry,
-                        RingDepth::default(),
-                    );
-                }
-            }
-            Backend::Threaded { .. } => {}
-        }
-        // Both modes append to the log. Deterministic shards already applied
-        // the entry above; threaded shards pick it up from here.
         self.shared
             .log
             .lock()
@@ -950,9 +907,19 @@ impl ShardedRuntime {
         // SeqCst: the store participates in the shard parkers' flag/recheck
         // wakeup protocol, so a parked shard cannot miss the new epoch.
         self.shared.published.store(self.epoch, Ordering::SeqCst);
-        if let Backend::Threaded { workers, .. } = &self.backend {
-            for worker in workers.iter() {
-                worker.parker.unpark();
+        match &mut self.backend {
+            // Deterministic cores catch up right here, through the same
+            // `catch_up` a worker runs. A `Retire` is acknowledged here; the
+            // resize control path truncates the core vector right after.
+            Backend::Deterministic(cores) => {
+                for core in cores.iter_mut() {
+                    core.catch_up(&self.shared, RingDepth::default);
+                }
+            }
+            Backend::Threaded { workers, .. } => {
+                for worker in workers.iter() {
+                    worker.parker.unpark();
+                }
             }
         }
         if derive_replication(&mut self.steerer, &self.head, touched) {
@@ -1053,11 +1020,11 @@ impl ShardedRuntime {
     }
 
     /// Installs (or, with `None`, removes) the [`EgressSink`] the data plane
-    /// hands every processed packet and verdict to. Threaded workers adopt
-    /// the new sink at their next burst boundary; the deterministic path
-    /// reads it per `process_batch` call. Typically called once, before
-    /// traffic starts — packets processed between staging and pickup go to
-    /// whichever sink their worker last saw.
+    /// hands every processed packet and verdict to. Every shard adopts the
+    /// new sink at its next burst boundary, in both execution modes.
+    /// Typically called once, before traffic starts — packets processed
+    /// between staging and pickup go to whichever sink their shard last
+    /// saw.
     pub fn set_egress(&mut self, sink: Option<Arc<dyn EgressSink>>) {
         *self.shared.egress.lock().expect("egress lock poisoned") = sink;
         self.shared.egress_version.fetch_add(1, Ordering::SeqCst);
@@ -1410,10 +1377,6 @@ impl ShardedRuntime {
         new_steerer.retarget(new_shards);
         new_steerer.set_reta(new_reta);
 
-        // The current configuration: both the loaded-module list for the
-        // migration plan and the template the new shards replicate.
-        let standby = self.standby_replica();
-
         // Plan the moves. Single-owner modules (every module under
         // tenant-affine steering) move whole when their owner shard changes.
         // Spread modules (5-tuple, mergeable or replicated) need no move on
@@ -1426,7 +1389,7 @@ impl ShardedRuntime {
         let mut moving: Vec<(ModuleId, usize)> = Vec::new();
         let mut rescue: Vec<ModuleId> = Vec::new();
         let mut seeding: Vec<ModuleId> = Vec::new();
-        for module in standby.loaded_modules() {
+        for module in self.head.loaded_modules() {
             match (
                 self.steerer.owner_shard(module.value()),
                 new_steerer.owner_shard(module.value()),
@@ -1523,27 +1486,19 @@ impl ShardedRuntime {
                 let mut wreckage = self.shared.wreckage.lock().expect("wreckage lock poisoned");
                 wreckage.resize_with(new_shards, || None);
             }
+            // Each new shard copies `head` once.
+            let cores = (old_shards..new_shards)
+                .map(|index| ShardCore::new(index, self.head.config_replica(), self.epoch));
             match &mut self.backend {
-                Backend::Deterministic(shards) => {
-                    shards.resize_with(new_shards, || LocalShard {
-                        pipeline: standby.config_replica(),
-                        telemetry: ShardTelemetry::default(),
-                    });
-                }
+                Backend::Deterministic(shards) => shards.extend(cores),
                 Backend::Threaded {
                     workers,
                     dispatchers,
                 } => {
                     let rows = self.options.dispatchers.max(1);
-                    for index in old_shards..new_shards {
-                        let (mut worker, producers) = spawn_worker(
-                            &self.shared,
-                            &self.options,
-                            index,
-                            standby.config_replica(),
-                            rows,
-                            self.epoch,
-                        );
+                    for core in cores {
+                        let (mut worker, producers) =
+                            spawn_worker(&self.shared, &self.options, core, rows);
                         if dispatchers.is_empty() {
                             let mut producers = producers;
                             worker.input = Some(producers.remove(0));
@@ -1748,18 +1703,21 @@ impl ShardedRuntime {
     // -----------------------------------------------------------------------
 
     /// Deterministic-mode data path: steers `packets` across the shard
-    /// replicas — simulating the configured dispatcher count and spray, so
-    /// the per-shard burst grouping matches what the threaded dispatch plane
-    /// would produce — drains the shards in (shard, dispatcher) order, and
-    /// returns one verdict per packet in the *input* order. Not available in
-    /// threaded mode, where verdict streams live on the worker threads — use
+    /// replicas — simulating the configured dispatcher count and spray —
+    /// and returns one verdict per packet in the *input* order. Each shard
+    /// then steps once per dispatcher that steered it anything, in (shard,
+    /// dispatcher) order, through the same `ShardCore` step a threaded
+    /// worker runs: one burst of every packet that dispatcher steered to the
+    /// shard in this call, not cut at [`RuntimeOptions::burst_size`] (burst
+    /// boundaries move no verdict). Not available in threaded mode, where
+    /// verdict streams live on the worker threads — use
     /// [`submit`](Self::submit) / [`flush`](Self::flush) and the aggregated
     /// statistics instead.
     ///
     /// Allocates the returned vector; callers draining many bursts should
     /// use [`process_batch_into`](Self::process_batch_into) with a reused
-    /// verdict buffer, mirroring the borrowing batch entry point PR 1 gave
-    /// the single pipeline.
+    /// verdict buffer, as with the single pipeline's
+    /// [`MenshenPipeline::process_batch_into`].
     pub fn process_batch(&mut self, packets: Vec<Packet>) -> Result<Vec<Verdict>, RuntimeError> {
         let mut verdicts = Vec::with_capacity(packets.len());
         self.process_batch_into(packets, &mut verdicts)?;
@@ -1768,18 +1726,22 @@ impl ShardedRuntime {
 
     /// Allocation-lean variant of [`process_batch`](Self::process_batch):
     /// writes one verdict per packet, in input order, into `out` (cleared
-    /// first). The steering scatter, per-group position index, per-shard
-    /// verdict scratch and the reorder buffer are all pipeline-owned and
+    /// first). The steering scatter, per-group position index, the shards'
+    /// verdict buffers and the reorder buffer are all runtime-owned and
     /// reused across calls, so the steady state performs no heap allocation
     /// for verdict storage — the same contract as
     /// [`MenshenPipeline::process_batch_into`].
+    ///
+    /// Every packet is stamped with the runtime's ingress clock at entry,
+    /// as [`submit_owned`](Self::submit_owned) does, so a shard's sojourn
+    /// times run from batch entry to its burst's completion.
     pub fn process_batch_into(
         &mut self,
         packets: Vec<Packet>,
         out: &mut Vec<Verdict>,
     ) -> Result<(), RuntimeError> {
         out.clear();
-        let Backend::Deterministic(shards) = &mut self.backend else {
+        let Backend::Deterministic(cores) = &mut self.backend else {
             return Err(RuntimeError::WrongMode(
                 "process_batch requires deterministic mode; threaded runtimes expose submit/flush",
             ));
@@ -1788,13 +1750,14 @@ impl ShardedRuntime {
         let shard_count = self.options.shards;
         let total = packets.len();
         self.submitted_packets += total as u64;
-        let batch_start = Instant::now();
+        let ingress_ns = self.shared.now_ns();
         // Model the dispatch plane: the spray assigns each packet a
         // dispatcher (round-robin per burst-sized chunk, or flow-affine by
         // RETA slice), and each dispatcher's Toeplitz steer picks the shard.
         let mut chunk_fill = 0usize;
         let mut cursor = 0usize;
-        for (position, packet) in packets.into_iter().enumerate() {
+        for (position, mut packet) in packets.into_iter().enumerate() {
+            packet.timestamp_ns = ingress_ns;
             let spec = self.steerer.digest_spec_for(&packet);
             let dispatcher = match &spec {
                 // Replicated modules trade dispatcher-level parallelism for
@@ -1842,67 +1805,20 @@ impl ShardedRuntime {
         // only steady-state allocation left is the returned Vec itself.
         self.reorder.clear();
         self.reorder.resize_with(total, || None);
-        // Deterministic mode reads the egress sink once per batch — the
-        // analogue of the threaded workers' per-burst staged pickup.
-        let egress = self
-            .shared
-            .egress
-            .lock()
-            .expect("egress lock poisoned")
-            .clone();
-        for (index, shard) in shards.iter_mut().enumerate() {
+        for (index, core) in cores.iter_mut().enumerate() {
             for dispatcher in 0..dispatchers {
                 let group = dispatcher * shard_count + index;
                 if self.scatter[group].is_empty() && self.digest_scatter[group].is_empty() {
                     continue;
                 }
-                let service_start = Instant::now();
-                process_shard_burst(
-                    &mut shard.pipeline,
+                core.step(
                     &self.scatter[group],
                     &self.digest_scatter[group],
-                    &mut self.verdict_scratch,
-                    &mut self.interleave_scratch,
+                    &self.shared,
                 );
-                let service_ns = service_start.elapsed().as_nanos() as u64;
-                let forwarded = self
-                    .verdict_scratch
-                    .iter()
-                    .filter(|v| v.is_forwarded())
-                    .count() as u64;
-                let processed = self.scatter[group].len() as u64;
-                // Deterministic-mode latency: sojourn is measured from batch
-                // entry (shards drain in order, so later shards' packets wait
-                // on earlier drains, exactly like ring queueing in threaded
-                // mode).
-                shard.telemetry.burst_ns.record(service_ns);
-                let sojourn_ns = batch_start.elapsed().as_nanos() as u64;
-                shard.telemetry.packet_ns.record_n(sojourn_ns, processed);
-                for verdict in self.verdict_scratch.iter() {
-                    shard.telemetry.record_verdict(verdict, sojourn_ns);
-                }
-                if let Some(sink) = &egress {
-                    for (packet, verdict) in
-                        self.scatter[group].iter().zip(self.verdict_scratch.iter())
-                    {
-                        sink.transmit(packet, verdict);
-                    }
-                }
-                for (verdict, &position) in self
-                    .verdict_scratch
-                    .drain(..)
-                    .zip(self.scatter_pos[group].iter())
-                {
+                for (verdict, &position) in core.verdicts.drain(..).zip(&self.scatter_pos[group]) {
                     self.reorder[position] = Some(verdict);
                 }
-                let mut progress = self.shared.progress.lock().expect("progress lock poisoned");
-                let slot = &mut progress.shards[index];
-                slot.bursts_done += 1;
-                slot.stats.bursts += 1;
-                slot.stats.packets += processed;
-                slot.stats.forwarded += forwarded;
-                slot.stats.dropped += processed - forwarded;
-                drop(progress);
                 self.scatter[group].clear();
                 self.scatter_pos[group].clear();
                 self.digest_scatter[group].clear();
@@ -2549,20 +2465,13 @@ impl ShardedRuntime {
                 };
             }
             self.lost_folded += lost_now;
-            // Phase 2c: respawn in place from the standby replica — the
+            // Phase 2c: respawn in place from one copy of `head` — the
             // replacement embodies the current epoch, so `entries_after`
             // hands it nothing stale — and swap its fresh rings into the
             // original slot, restoring the original steering.
-            let standby = self.standby_replica();
+            let core = ShardCore::new(shard, self.head.config_replica(), epoch);
             let rows = self.options.dispatchers.max(1);
-            let (mut worker, mut producers) = spawn_worker(
-                &self.shared,
-                &self.options,
-                shard,
-                standby.config_replica(),
-                rows,
-                epoch,
-            );
+            let (mut worker, mut producers) = spawn_worker(&self.shared, &self.options, core, rows);
             self.steerer = original;
             let inline = {
                 let Backend::Threaded {
@@ -2809,8 +2718,9 @@ impl ShardedRuntime {
     /// ledger per module ID), merged across live shards and everything
     /// retired shards recorded before scale-in; the overloaded tenant's
     /// view includes its own shed load. Takes one `Snapshot` epoch,
-    /// preceded by a flush. Tenant 0 collects packets that never resolved
-    /// to a module (no VLAN tag, unknown module).
+    /// preceded by a flush. Tenant 0 collects packets that carry no module
+    /// ID (no VLAN tag, data-path reconfiguration packets); a packet whose
+    /// VLAN names no loaded module is attributed to that ID.
     pub fn aggregated_tenants(&mut self) -> Result<BTreeMap<u16, TenantTelemetry>, RuntimeError> {
         Ok(self.aggregate()?.0.tenants)
     }

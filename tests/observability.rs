@@ -3,10 +3,14 @@
 //! metrics snapshot must emit parseable Prometheus text exposition, and the
 //! packet-conservation audit must balance after real traffic.
 
-use menshen::core::{validate_prometheus, MenshenPipeline, MetricValue, MetricsSnapshot, Phase};
+use menshen::core::{
+    validate_prometheus, MenshenPipeline, MetricValue, MetricsSnapshot, ModuleCounters, Phase,
+    Verdict, VerdictLedger,
+};
+use menshen::packet::{Packet, PacketBuilder};
 use menshen::runtime::{
-    chrome_trace_to_events, ControlEventKind, FaultPlan, RuntimeOptions, ShardedRuntime,
-    SteeringMode,
+    chrome_trace_to_events, ControlEventKind, EgressSink, ExecutionMode, FaultPlan, RuntimeOptions,
+    ShardedRuntime, Steerer, SteeringMode,
 };
 use menshen::trace::replay::{replay_sharded, Pacing};
 use menshen::trace::synth::{synthesize, WorkloadSpec};
@@ -14,6 +18,8 @@ use menshen_bench::workloads::{flow_rule_tenant, flow_rule_tenant_with_port, flo
 use menshen_json::Json;
 use menshen_rmt::action::AluInstruction;
 use menshen_rmt::phv::ContainerRef as C;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 const TENANTS: u16 = 4;
@@ -398,4 +404,162 @@ fn aggregate_views_agree_across_retirement_and_recovery() {
         .expect("the casualty's record survives its recovery");
     assert!(delta.packet_ns.count() > 0);
     assert!(runtime.conservation_audit().unwrap().is_balanced());
+}
+
+/// One transmit as a shard's egress sink saw it: ingress bytes, verdict
+/// kind, egress ports and output bytes (forwards only).
+type Transmit = (Vec<u8>, String, Vec<u16>, Option<Vec<u8>>);
+
+/// Collects every transmit per shard. A threaded run keys each transmit by
+/// the name of the worker thread that made it; a deterministic run has no
+/// worker threads, so it keys by the shard the steerer sends the packet to,
+/// under the same name.
+struct PerShardSink {
+    steerer: Option<Steerer>,
+    logs: Mutex<BTreeMap<String, Vec<Transmit>>>,
+}
+
+impl EgressSink for PerShardSink {
+    fn transmit(&self, packet: &Packet, verdict: &Verdict) {
+        let shard = match &self.steerer {
+            Some(steerer) => format!("menshen-shard-{}", steerer.shard_for(packet)),
+            None => std::thread::current()
+                .name()
+                .unwrap_or("unnamed")
+                .to_owned(),
+        };
+        let entry = match verdict {
+            Verdict::Forwarded {
+                packet: out, ports, ..
+            } => (
+                packet.bytes().to_vec(),
+                "forwarded".to_owned(),
+                ports.clone(),
+                Some(out.bytes().to_vec()),
+            ),
+            Verdict::Dropped { reason, .. } => (
+                packet.bytes().to_vec(),
+                format!("{reason:?}"),
+                Vec::new(),
+                None,
+            ),
+        };
+        self.logs
+            .lock()
+            .expect("log lock")
+            .entry(shard)
+            .or_default()
+            .push(entry);
+    }
+}
+
+/// Both backends run the same shard core, so the same seeded trace keeps
+/// the same books on either: through `deterministic(2)` (`process_batch`)
+/// and through `threaded(2)` with inline dispatch (`submit_owned` +
+/// `flush`), under 5-tuple steering with a replicated storing tenant, the
+/// per-shard packet/forward/drop tallies, the module counters, every
+/// tenant's ledger, the sojourn count and each shard's egress sequence are
+/// equal, and both audits balance. Burst counts are not compared: the
+/// deterministic path steps each shard once per call, the threaded one cuts
+/// at the burst size.
+#[test]
+fn both_backends_keep_the_same_books() {
+    const SHARDS: usize = 2;
+    let mut mixed = template();
+    let mut storing = flow_rule_tenant_with_port(TENANTS + 1, RULES, 1005);
+    for rule in &mut storing.stages[0].rules {
+        rule.action = rule
+            .action
+            .clone()
+            .with(C::h4(3), AluInstruction::store(C::h4(1), 2));
+    }
+    mixed.load_module(&storing).unwrap();
+    let mut spec = WorkloadSpec::heavy_tailed(TENANTS + 1, 96, 3000);
+    spec.rules_per_tenant = RULES;
+    spec.seed = 0x5EED_B00C;
+    let mut packets = synthesize(&spec).unwrap();
+    // Packets of a VLAN with no module loaded, dropped under their own ID.
+    packets.extend((0..40u8).map(|i| {
+        PacketBuilder::udp_data(
+            9,
+            [10, 0, 0, i],
+            [10, 0, 0, 2],
+            4000 + u16::from(i),
+            80,
+            &[0; 8],
+        )
+    }));
+
+    struct Books {
+        shards: Vec<(u64, u64, u64)>,
+        counters: HashMap<u16, ModuleCounters>,
+        ledgers: BTreeMap<u16, VerdictLedger>,
+        sojourn_count: u64,
+        transmits: BTreeMap<String, Vec<Transmit>>,
+    }
+    let books = |options: RuntimeOptions, packets: Vec<Packet>| -> Books {
+        let mut runtime =
+            ShardedRuntime::from_pipeline(&mixed, options.with_steering(SteeringMode::FiveTuple));
+        assert_eq!(runtime.replicated_modules(), vec![TENANTS + 1]);
+        let deterministic = options.mode == ExecutionMode::Deterministic;
+        let sink = Arc::new(PerShardSink {
+            steerer: deterministic.then(|| Steerer::new(SteeringMode::FiveTuple, SHARDS)),
+            logs: Mutex::new(BTreeMap::new()),
+        });
+        runtime.set_egress(Some(sink.clone()));
+        if deterministic {
+            runtime.process_batch(packets).unwrap();
+        } else {
+            runtime.submit_owned(packets).unwrap();
+            runtime.flush();
+        }
+        let audit = runtime.conservation_audit().unwrap();
+        assert!(audit.is_balanced(), "{audit:?}");
+        assert_eq!(audit.shed, 0, "nothing may be shed: {audit:?}");
+        let shards = runtime
+            .shard_stats()
+            .iter()
+            .map(|stats| (stats.packets, stats.forwarded, stats.dropped))
+            .collect();
+        let transmits = std::mem::take(&mut *sink.logs.lock().unwrap());
+        Books {
+            shards,
+            counters: runtime.aggregated_counters().unwrap(),
+            ledgers: runtime
+                .aggregated_tenants()
+                .unwrap()
+                .into_iter()
+                .map(|(tenant, view)| (tenant, view.ledger))
+                .collect(),
+            sojourn_count: runtime.aggregated_latency().unwrap().packet_ns.count(),
+            transmits,
+        }
+    };
+    let deterministic = books(RuntimeOptions::deterministic(SHARDS), packets.clone());
+    let threaded = books(
+        RuntimeOptions::threaded(SHARDS).with_submit_wait(Duration::from_secs(30)),
+        packets.clone(),
+    );
+
+    let total = packets.len() as u64;
+    assert_eq!(deterministic.shards, threaded.shards);
+    assert_eq!(deterministic.shards.iter().map(|s| s.0).sum::<u64>(), total);
+    assert!(
+        deterministic.shards.iter().all(|s| s.1 > 0 && s.2 > 0),
+        "every shard forwards and drops: {:?}",
+        deterministic.shards
+    );
+    assert_eq!(deterministic.counters, threaded.counters);
+    assert_eq!(deterministic.ledgers, threaded.ledgers);
+    assert!(
+        deterministic.ledgers.contains_key(&9),
+        "the unknown VLAN has a ledger"
+    );
+    assert_eq!(deterministic.sojourn_count, total);
+    assert_eq!(threaded.sojourn_count, total);
+    assert_eq!(
+        deterministic.transmits.keys().collect::<Vec<_>>(),
+        ["menshen-shard-0", "menshen-shard-1"]
+    );
+    assert_eq!(deterministic.transmits, threaded.transmits);
 }
